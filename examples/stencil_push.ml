@@ -6,6 +6,12 @@
    sends each neighbour exactly the boundary columns it will read —
    message-passing behaviour inside the shared-memory programming model.
 
+   Shared columns move through page runs ({!Shm.F64_2.read_cols},
+   {!Shm.F64_2.write_col}): one protection check per page instead of one
+   per element. The stencil's four references become four lockstep runs,
+   listed in the order the per-element expression evaluated them, so the
+   runs fault exactly where element accesses would have.
+
      dune exec examples/stencil_push.exe *)
 
 module Tmk = Core.Tmk
@@ -36,30 +42,31 @@ let run ~push =
       let p = Tmk.pid t in
       let lo, hi = bounds np p in
       let a = Array.make_matrix (hi - lo + 1) m 0.0 in
+      let cj = Array.make m 0.0
+      and cl = Array.make m 0.0
+      and cr = Array.make m 0.0 in
       for j = lo to hi do
         for i = 0 to m - 1 do
-          Shm.F64_2.set t b i j (float_of_int ((i + j) mod 17))
-        done
+          cj.(i) <- float_of_int ((i + j) mod 17)
+        done;
+        Shm.F64_2.write_col t b j ~lo:0 ~hi:(m - 1) cj
       done;
       Tmk.barrier t;
       for _k = 1 to iters do
         for j = lo to hi do
+          (* step i reads b(i,j+1), b(i,j-1), b(i+1,j), b(i-1,j) *)
+          Shm.F64_2.read_cols t b ~cols:[| j + 1; j - 1; j; j |]
+            ~los:[| 1; 1; 2; 0 |] ~len:(m - 2) [| cr; cl; cj; cj |];
           for i = 1 to m - 2 do
             a.(j - lo).(i) <-
-              0.25
-              *. (Shm.F64_2.get t b (i - 1) j
-                 +. Shm.F64_2.get t b (i + 1) j
-                 +. Shm.F64_2.get t b i (j - 1)
-                 +. Shm.F64_2.get t b i (j + 1))
+              0.25 *. (cj.(i - 1) +. cj.(i + 1) +. cl.(i) +. cr.(i))
           done
         done;
         Tmk.charge t (0.5 *. float_of_int ((hi - lo + 1) * m));
         Tmk.barrier t;
         if push then Tmk.validate t write_sections.(p) Tmk.Write_all;
         for j = lo to hi do
-          for i = 1 to m - 2 do
-            Shm.F64_2.set t b i j a.(j - lo).(i)
-          done
+          Shm.F64_2.write_col t b j ~lo:1 ~hi:(m - 2) a.(j - lo)
         done;
         Tmk.charge t (0.2 *. float_of_int ((hi - lo + 1) * m));
         if push then Tmk.push t ~read_sections ~write_sections

@@ -106,12 +106,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
+      (* private column buffers for page-run access: row i at index i *)
+      let col = Array.make m 0.0 and l = Array.make m 0.0 in
       (* initialize own (cyclic) columns *)
       for j = 0 to m - 1 do
         if j mod np = p then begin
           for i = 0 to m - 1 do
-            Shm.F64_2.set t a i j (init_value i j)
+            col.(i) <- init_value i j
           done;
+          Shm.F64_2.write_col t a j ~lo:0 ~hi:(m - 1) col;
           Tmk.charge t (0.03 *. float_of_int m)
         end
       done;
@@ -126,26 +129,39 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
               Tmk.validate t work_section Tmk.Write_all
           | Comm_aggr -> Tmk.validate t work_section Tmk.Write
           | Base | Push_opt -> ());
+          (* rows k.. in address order: the simulated program's first
+             touch of the column is a(k,k) (its scan compared
+             [abs a(i,k) > abs a(piv,k)], right operand first) *)
+          Shm.F64_2.read_col t a k ~lo:k ~hi:(m - 1) col;
           let piv = ref k in
           for i = k + 1 to m - 1 do
-            if
-              abs_float (Shm.F64_2.get t a i k)
-              > abs_float (Shm.F64_2.get t a !piv k)
-            then piv := i
+            if abs_float col.(i) > abs_float col.(!piv) then piv := i
           done;
           Tmk.charge t (pivot_scan_cost u *. float_of_int (m - 1 - k));
           let piv = !piv in
           if piv <> k then begin
-            let tmp = Shm.F64_2.get t a k k in
-            Shm.F64_2.set t a k k (Shm.F64_2.get t a piv k);
-            Shm.F64_2.set t a piv k tmp
+            let tmp = col.(k) in
+            Shm.F64_2.set t a k k col.(piv);
+            Shm.F64_2.set t a piv k tmp;
+            col.(k) <- col.(piv);
+            col.(piv) <- tmp
           end;
           Shm.F64_1.set t work (k + 1) (float_of_int piv);
-          let akk = Shm.F64_2.get t a k k in
-          for i = k + 1 to m - 1 do
-            let l = Shm.F64_2.get t a i k /. akk in
-            Shm.F64_2.set t a i k l;
-            Shm.F64_1.set t work (k + 1 + (i - k)) l
+          let akk = col.(k) in
+          (* l(i) goes to a(i,k), then to work(i+1), row by row: cutting
+             the runs at a's page boundaries keeps each piece's first
+             write to a ahead of its writes to work, the fault order of
+             the row-by-row program *)
+          let i = ref (k + 1) in
+          while !i <= m - 1 do
+            let i0 = !i in
+            let i1 = min (m - 1) (i0 + Shm.f64s_in_page t (Shm.F64_2.addr a i0 k) - 1) in
+            for r = i0 to i1 do
+              col.(r) <- col.(r) /. akk
+            done;
+            Shm.F64_2.write_col t a k ~lo:i0 ~hi:i1 col;
+            Shm.write_f64s t (Shm.F64_1.addr work (i0 + 1)) (i1 - i0 + 1) col i0;
+            i := i1 + 1
           done;
           Tmk.charge t (mult_cost u *. float_of_int (m - 1 - k))
         end
@@ -177,12 +193,9 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
             if !own_cols <> [] then Tmk.validate t !own_cols Tmk.Read_write
         | Base | Push_opt -> ());
         let piv = int_of_float (Shm.F64_1.get t work (k + 1)) in
-        (* copy the multipliers to a private buffer; the shared reads fault
-           once, further uses are local *)
-        let l = Array.make m 0.0 in
-        for i = k + 1 to m - 1 do
-          l.(i) <- Shm.F64_1.get t work (k + 1 + (i - k))
-        done;
+        (* copy the multipliers l(i) = work(i+1) to a private buffer; the
+           shared reads fault once, further uses are local *)
+        Shm.read_f64s t (Shm.F64_1.addr work (k + 2)) (m - 1 - k) l (k + 1);
         (* update own columns j > k *)
         for j = k + 1 to m - 1 do
           if j mod np = p then begin
@@ -193,9 +206,13 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
             end;
             Tmk.charge t (swap_cost u);
             let akj = Shm.F64_2.get t a k j in
+            (* read-for-write: one write fault per page and no read
+               fault, as an element-wise read-modify-write takes them *)
+            Shm.F64_2.read_col_for_write t a j ~lo:(k + 1) ~hi:(m - 1) col;
             for i = k + 1 to m - 1 do
-              Shm.F64_2.rmw t a i j (fun x -> x -. (l.(i) *. akj))
+              col.(i) <- col.(i) -. (l.(i) *. akj)
             done;
+            Shm.F64_2.write_col t a j ~lo:(k + 1) ~hi:(m - 1) col;
             Tmk.charge t (u *. float_of_int (m - 1 - k))
           end
         done;
@@ -206,12 +223,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
   let aref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to m - 1 do
+          Shm.F64_2.read_col t a j ~lo:0 ~hi:(m - 1) col;
           for i = 0 to m - 1 do
-            err := combine_err !err (Shm.F64_2.get t a i j -. aref.(j).(i))
+            err := combine_err !err (col.(i) -. aref.(j).(i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

@@ -103,10 +103,14 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_co
             [ Shm.F64_2.section b (0, m - 1, 1) (ilo, ihi, 1) ]
             Tmk.Write_all
       | Base | Comm_aggr -> ());
+      let cj = Array.make m 0.0
+      and cl = Array.make m 0.0
+      and cr = Array.make m 0.0 in
       for j = ilo to ihi do
         for i = 0 to m - 1 do
-          Shm.F64_2.set t b i j (init_value i j)
+          cj.(i) <- init_value i j
         done;
+        Shm.F64_2.write_col t b j ~lo:0 ~hi:(m - 1) cj;
         Tmk.charge t (init_cost *. float_of_int m)
       done;
       Tmk.barrier t;
@@ -118,15 +122,17 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_co
         | Comm_aggr | Cons_elim ->
             Tmk.validate t ~async read_sections.(p) Tmk.Read
         | Base | Sync_merge | Push_opt -> ());
-        (* phase 1: a <- average of b *)
+        (* phase 1: a <- average of b. One lockstep run per reference of
+           [b(i-1,j) +. b(i+1,j) +. b(i,j-1) +. b(i,j+1)], listed in
+           OCaml's right-to-left evaluation order of that expression, so
+           pages are first touched (and fault) in the order the simulated
+           program touches them *)
         for j = lo to hi do
+          Shm.F64_2.read_cols t b ~cols:[| j + 1; j - 1; j; j |]
+            ~los:[| 1; 1; 2; 0 |] ~len:(m - 2) [| cr; cl; cj; cj |];
+          let o = (j - lo) * m in
           for i = 1 to m - 2 do
-            a.(((j - lo) * m) + i) <-
-              0.25
-              *. (Shm.F64_2.get t b (i - 1) j
-                 +. Shm.F64_2.get t b (i + 1) j
-                 +. Shm.F64_2.get t b i (j - 1)
-                 +. Shm.F64_2.get t b i (j + 1))
+            a.(o + i) <- 0.25 *. (cj.(i - 1) +. cj.(i + 1) +. cl.(i) +. cr.(i))
           done;
           Tmk.charge t (update_cost *. float_of_int (m - 2))
         done;
@@ -140,9 +146,7 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_co
         | Base -> ());
         (* phase 2: b <- a *)
         for j = lo to hi do
-          for i = 0 to m - 1 do
-            Shm.F64_2.set t b i j a.(((j - lo) * m) + i)
-          done;
+          Shm.write_f64s t (Shm.F64_2.addr b 0 j) m a ((j - lo) * m);
           Tmk.charge t (copy_cost *. float_of_int m)
         done;
         match level with
@@ -158,13 +162,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_co
   let bref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to m - 1 do
+          Shm.F64_2.read_col t b j ~lo:0 ~hi:(m - 1) col;
           for i = 0 to m - 1 do
-            err :=
-              combine_err !err (Shm.F64_2.get t b i j -. bref.((j * m) + i))
+            err := combine_err !err (col.(i) -. bref.((j * m) + i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

@@ -79,11 +79,14 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
+      (* private column buffers for page-run access: row r at index r *)
+      let vi = Array.make m 0.0 and qj = Array.make m 0.0 in
       for j = 0 to n - 1 do
         if j mod np = p then begin
           for i = 0 to m - 1 do
-            Shm.F64_2.set t q i j (init_value i j)
+            qj.(i) <- init_value i j
           done;
+          Shm.F64_2.write_col t q j ~lo:0 ~hi:(m - 1) qj;
           Tmk.charge t (0.03 *. float_of_int m)
         end
       done;
@@ -98,15 +101,16 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
               Tmk.validate t vec_section Tmk.Read_write_all
           | Comm_aggr -> Tmk.validate t vec_section Tmk.Read_write
           | Base | Push_opt -> ());
+          Shm.F64_2.read_col t q i ~lo:0 ~hi:(m - 1) qj;
           let s = ref 0.0 in
           for r = 0 to m - 1 do
-            let x = Shm.F64_2.get t q r i in
-            s := !s +. (x *. x)
+            s := !s +. (qj.(r) *. qj.(r))
           done;
           let norm = sqrt !s in
           for r = 0 to m - 1 do
-            Shm.F64_2.set t q r i (Shm.F64_2.get t q r i /. norm)
+            qj.(r) <- qj.(r) /. norm
           done;
+          Shm.F64_2.write_col t q i ~lo:0 ~hi:(m - 1) qj;
           Tmk.charge t (norm_cost dot_cost *. float_of_int m)
         end
         else begin
@@ -132,17 +136,22 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
         | Base | Push_opt -> ());
         (* copy vector i to a private buffer: the shared reads fault once,
            the repeated uses below are local *)
-        let vi = Array.init m (fun r -> Shm.F64_2.get t q r i) in
+        Shm.F64_2.read_col t q i ~lo:0 ~hi:(m - 1) vi;
         for j = i + 1 to n - 1 do
           if j mod np = p then begin
+            Shm.F64_2.read_col t q j ~lo:0 ~hi:(m - 1) qj;
             let d = ref 0.0 in
             for r = 0 to m - 1 do
-              d := !d +. (vi.(r) *. Shm.F64_2.get t q r j)
+              d := !d +. (vi.(r) *. qj.(r))
             done;
             let dv = !d in
+            (* the dot product has read the column, so the update takes
+               only each page's write fault, in page order, as an
+               element-wise read-modify-write does *)
             for r = 0 to m - 1 do
-              Shm.F64_2.rmw t q r j (fun x -> x -. (dv *. vi.(r)))
+              qj.(r) <- qj.(r) -. (dv *. vi.(r))
             done;
+            Shm.F64_2.write_col t q j ~lo:0 ~hi:(m - 1) qj;
             Tmk.charge t (dot_cost *. float_of_int m)
           end
         done;
@@ -153,12 +162,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
   let qref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to n - 1 do
+          Shm.F64_2.read_col t q j ~lo:0 ~hi:(m - 1) col;
           for i = 0 to m - 1 do
-            err := combine_err !err (Shm.F64_2.get t q i j -. qref.(j).(i))
+            err := combine_err !err (col.(i) -. qref.(j).(i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

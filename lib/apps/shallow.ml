@@ -226,6 +226,12 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as p
       let p = Tmk.pid t in
       let jlo, jhi = bounds n np p in
       let width = jhi - jlo + 1 in
+      (* Element by element, not page runs: each grid point reads up to
+         eight of the thirteen arrays (with wrap-around neighbours) and
+         writes others in between, so a page's first touch depends on that
+         read/write interleaving across arrays, which no lockstep read
+         reproduces. The kernels are also shared with the sequential
+         reference and the message-passing versions through [g]. *)
       let g =
         {
           get = (fun a i j -> Shm.F64_2.get t arrs.(a) i j);

@@ -51,12 +51,17 @@ let entries t = List.rev t.entries
 (* Best-of-N: keep each experiment's fastest measurement. Wall-clock on a
    busy host is min-stable (noise only ever adds time); digests must not
    disagree between repeats — that would mean nondeterministic simulated
-   output, which the comparison gate reports via the surviving entry. *)
+   output, which the comparison gate reports via the surviving entry.
+   Allocation takes its own minimum: the first round also fills the
+   process's memo tables, later rounds repeat exactly, so the minimum does
+   not depend on which round happened to be faster. *)
 let min_merge a b =
   let pick (ea : entry) =
     match List.find_opt (fun e -> e.e_name = ea.e_name) b.entries with
-    | Some eb when eb.e_wall_ms < ea.e_wall_ms -> eb
-    | _ -> ea
+    | Some eb ->
+        let e = if eb.e_wall_ms < ea.e_wall_ms then eb else ea in
+        { e with e_alloc_mwords = Float.min ea.e_alloc_mwords eb.e_alloc_mwords }
+    | None -> ea
   in
   {
     a with
@@ -135,14 +140,21 @@ let load ~path =
   if !entries = [] then failwith (path ^ ": no benchmark entries found");
   List.rev !entries
 
+(* Allocation is a property of the program, not of the host, so unlike wall
+   time it gates per experiment. The absolute slack covers the 0.001 Mw
+   rounding of the file format on the smallest experiments. *)
+let alloc_tolerance = 0.02
+let alloc_slack_mwords = 0.01
+
 let compare_against ppf ~baseline ~current ~tolerance =
   let ok = ref true in
   let matched = ref 0 in
   let base_total = ref 0.0 and cur_total = ref 0.0 in
-  Format.fprintf ppf "regression gate (tolerance %+.0f%%):@."
-    (tolerance *. 100.0);
-  Format.fprintf ppf "  %-12s %10s %10s %8s  %s@." "experiment" "base(ms)"
-    "now(ms)" "ratio" "digest";
+  Format.fprintf ppf
+    "regression gate (total wall %+.0f%%, per-experiment alloc %+.0f%%):@."
+    (tolerance *. 100.0) (alloc_tolerance *. 100.0);
+  Format.fprintf ppf "  %-12s %10s %10s %8s %10s %10s  %s@." "experiment"
+    "base(ms)" "now(ms)" "ratio" "base(Mw)" "now(Mw)" "digest";
   List.iter
     (fun (c : entry) ->
       match List.find_opt (fun b -> b.e_name = c.e_name) baseline with
@@ -154,13 +166,19 @@ let compare_against ppf ~baseline ~current ~tolerance =
           let ratio = if b.e_wall_ms > 0.0 then c.e_wall_ms /. b.e_wall_ms else 1.0 in
           let same = b.e_digest = c.e_digest in
           let slow = c.e_wall_ms > b.e_wall_ms *. (1.0 +. tolerance) in
-          if not same then ok := false;
+          let fat =
+            c.e_alloc_mwords
+            > (b.e_alloc_mwords *. (1.0 +. alloc_tolerance)) +. alloc_slack_mwords
+          in
+          if (not same) || fat then ok := false;
           (* per-experiment slowdowns are reported but do not gate: short
-             experiments are dominated by host noise — only the digest and
-             the suite total decide pass/fail *)
-          Format.fprintf ppf "  %-12s %10.1f %10.1f %7.2fx  %s%s@." c.e_name
-            b.e_wall_ms c.e_wall_ms ratio
+             experiments are dominated by host noise — the digest, the
+             allocation and the suite total decide pass/fail *)
+          Format.fprintf ppf "  %-12s %10.1f %10.1f %7.2fx %10.3f %10.3f  %s%s%s@."
+            c.e_name b.e_wall_ms c.e_wall_ms ratio b.e_alloc_mwords
+            c.e_alloc_mwords
             (if same then "same" else "DIFFERENT OUTPUT")
+            (if fat then "  ALLOC REGRESSION" else "")
             (if slow then "  slow (not gating)" else ""))
     (entries current);
   if !matched = 0 then begin

@@ -40,8 +40,10 @@ val entries : t -> entry list
 
 val min_merge : t -> t -> t
 (** Best-of-N de-noising: per experiment (matched by name), keep the faster
-    of the two measurements. Wall-clock noise on a shared host only ever
-    adds time, so the minimum is the stable statistic. *)
+    of the two measurements, with the smaller of the two allocations.
+    Wall-clock noise on a shared host only ever adds time, so the minimum
+    is the stable statistic; allocation repeats exactly once the first
+    round has filled the memo tables. *)
 
 val total_wall_ms : t -> float
 val to_json : t -> string
@@ -55,8 +57,10 @@ val load : path:string -> entry list
 val compare_against :
   Format.formatter -> baseline:entry list -> current:t -> tolerance:float -> bool
 (** Compare a fresh run against a loaded baseline, experiment by experiment
-    (intersection by name): fails on any output-digest mismatch and when
-    the shared total is slower than [baseline * (1 + tolerance)].
-    Per-experiment slowdowns are reported but do not gate — short
-    experiments are dominated by host noise. Prints a table; returns
-    [true] when the run passes. *)
+    (intersection by name): fails on any output-digest mismatch, on any
+    experiment allocating more than 2% (plus 0.01 Mw of rounding slack)
+    above its baseline words — allocation does not depend on the host —
+    and when the shared total is slower than
+    [baseline * (1 + tolerance)]. Per-experiment slowdowns are reported
+    but do not gate — short experiments are dominated by host noise.
+    Prints a table; returns [true] when the run passes. *)

@@ -73,10 +73,6 @@ let set_i64 t addr v =
   let pg = page_for_write t addr in
   set_64_le pg.Page_table.data (offset_of t addr) (Int64.of_int v)
 
-let get_raw64 t addr =
-  let pg = page_for_read t addr in
-  get_64_le pg.Page_table.data (offset_of t addr)
-
 let get_i32 t addr =
   let pg = page_for_read t addr in
   Bytes.get_int32_le pg.Page_table.data (offset_of t addr) |> Int32.to_int
@@ -84,6 +80,93 @@ let get_i32 t addr =
 let set_i32 t addr v =
   let pg = page_for_write t addr in
   Bytes.set_int32_le pg.Page_table.data (offset_of t addr) (Int32.of_int v)
+
+(* {1 Page runs}
+
+   Contiguous runs of 8-byte floats, resolved one page at a time: each
+   page piece costs one protection check (and at most one fault), then an
+   unboxed copy loop. The faults a run takes, and their order, are those
+   of the equivalent per-element loop in increasing address order: the
+   first access to a page is the only one that can fault, and nothing
+   between two page pieces can change a page's protection (faults never
+   yield the fiber; only synchronization does). *)
+
+let f64s_in_page t addr = (t.sys.page_size - offset_of t addr) lsr 3
+
+let check_run name len (a : float array) off =
+  if len < 0 || (len > 0 && (off < 0 || off + len > Array.length a)) then
+    invalid_arg name
+
+(* [write] selects the fault taken per page: the write fault (as {!set_f64}
+   and [rmw] take it) or the read fault (as {!get_f64}). The page-piece
+   walk is spelled out here and in [write_f64s] rather than shared through
+   a closure, which would allocate on every call. *)
+let[@inline] load_run ~write t addr len (dst : float array) off =
+  let addr = ref addr and o = ref off and rem = ref len in
+  while !rem > 0 do
+    let a = !addr in
+    let pg = if write then page_for_write t a else page_for_read t a in
+    let data = pg.Page_table.data and boff = offset_of t a in
+    let n = min !rem ((t.sys.page_size - boff) lsr 3) and o0 = !o in
+    for k = 0 to n - 1 do
+      Array.unsafe_set dst (o0 + k)
+        (Int64.float_of_bits (get_64_le data (boff + (8 * k))))
+    done;
+    addr := a + (8 * n);
+    o := o0 + n;
+    rem := !rem - n
+  done
+
+let read_f64s t addr len dst off =
+  check_run "Shm.read_f64s" len dst off;
+  load_run ~write:false t addr len dst off
+
+let read_f64s_for_write t addr len dst off =
+  check_run "Shm.read_f64s_for_write" len dst off;
+  load_run ~write:true t addr len dst off
+
+let write_f64s t addr len (src : float array) off =
+  check_run "Shm.write_f64s" len src off;
+  let addr = ref addr and o = ref off and rem = ref len in
+  while !rem > 0 do
+    let a = !addr in
+    let pg = page_for_write t a in
+    let data = pg.Page_table.data and boff = offset_of t a in
+    let n = min !rem ((t.sys.page_size - boff) lsr 3) and o0 = !o in
+    for k = 0 to n - 1 do
+      set_64_le data (boff + (8 * k))
+        (Int64.bits_of_float (Array.unsafe_get src (o0 + k)))
+    done;
+    addr := a + (8 * n);
+    o := o0 + n;
+    rem := !rem - n
+  done
+
+(* Lockstep runs: step [s] of [len] touches element [s] of every run, in
+   the caller's run order. Steps are cut into segments within which no run
+   crosses a page boundary; each segment costs one protection check per
+   run, and the first touches land in the per-element loop's order. *)
+let read_lockstep t (addrs : int array) len (dsts : float array array)
+    (offs : int array) =
+  let nr = Array.length addrs in
+  if Array.length dsts <> nr || Array.length offs <> nr then
+    invalid_arg "Shm.read_lockstep";
+  for r = 0 to nr - 1 do
+    check_run "Shm.read_lockstep" len dsts.(r) offs.(r)
+  done;
+  let s = ref 0 in
+  while !s < len do
+    let s0 = !s in
+    let seg = ref (len - s0) in
+    for r = 0 to nr - 1 do
+      seg := min !seg (f64s_in_page t (addrs.(r) + (8 * s0)))
+    done;
+    let n = !seg in
+    for r = 0 to nr - 1 do
+      load_run ~write:false t (addrs.(r) + (8 * s0)) n dsts.(r) (offs.(r) + s0)
+    done;
+    s := s0 + n
+  done
 
 (* {1 Array views}
 
@@ -119,6 +202,22 @@ module F64_2 = struct
     let off = offset_of tmk ad in
     let x = Int64.float_of_bits (get_64_le pg.Page_table.data off) in
     set_64_le pg.Page_table.data off (Int64.bits_of_float (f x))
+
+  (* column runs: row [i] of the run is element [i] of the buffer; a run
+     with [hi < lo] is empty *)
+  let read_col tmk a j ~lo ~hi dst =
+    read_f64s tmk (addr a lo j) (max 0 (hi - lo + 1)) dst lo
+
+  let read_col_for_write tmk a j ~lo ~hi dst =
+    read_f64s_for_write tmk (addr a lo j) (max 0 (hi - lo + 1)) dst lo
+
+  let write_col tmk a j ~lo ~hi src =
+    write_f64s tmk (addr a lo j) (max 0 (hi - lo + 1)) src lo
+
+  let read_cols tmk a ~cols ~los ~len dsts =
+    if Array.length los <> Array.length cols then invalid_arg "Shm.F64_2.read_cols";
+    read_lockstep tmk (Array.mapi (fun k j -> addr a los.(k) j) cols) len dsts los
+
   let dim0 (a : t) = a.Section.extents.(0)
   let dim1 (a : t) = a.Section.extents.(1)
 

@@ -336,14 +336,23 @@ let digest sys =
       sys.Types.obj_regions;
     if !forced <> [] then Protocol.protect_runs sys 0 !forced
   end;
+  (* each array's bytes, one page piece at a time, in address order:
+     pages hold elements little-endian, so the digest input is every
+     element's little-endian bytes whatever the host's byte order *)
   run sys (fun t ->
       if t.Types.p = 0 then
         List.iter
           (fun (a : Dsm_rsd.Section.array_info) ->
             let n = Array.fold_left ( * ) 1 a.Dsm_rsd.Section.extents in
-            for i = 0 to n - 1 do
-              Buffer.add_int64_le buf
-                (Shm.get_raw64 t (a.Dsm_rsd.Section.base + (8 * i)))
+            let addr = ref a.Dsm_rsd.Section.base
+            and rem = ref (8 * n) in
+            while !rem > 0 do
+              let pg = Shm.page_for_read t !addr in
+              let off = !addr mod sys.Types.page_size in
+              let len = min !rem (sys.Types.page_size - off) in
+              Buffer.add_subbytes buf pg.Page_table.data off len;
+              addr := !addr + len;
+              rem := !rem - len
             done)
           (Dsm_mem.Addr_space.arrays sys.Types.space));
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -174,6 +174,36 @@ let test_bench_log_gate () =
     (Bench_log.compare_against null_ppf ~baseline ~current:diverged
        ~tolerance:0.2)
 
+(* The allocation column gates per experiment: an experiment that
+   allocates 1 Mw more than its baseline fails the gate even though its
+   output and wall time match. *)
+let test_bench_log_alloc_gate () =
+  let run extra =
+    let log = Bench_log.create ~pr:99 ~label:"test" ~quick:true in
+    ignore
+      (Bench_log.measure log ~name:"alpha" (fun ppf ->
+           Format.fprintf ppf "one@."));
+    ignore
+      (Bench_log.measure log ~name:"beta" (fun ppf ->
+           ignore (Sys.opaque_identity (Array.make extra 0.0));
+           Format.fprintf ppf "two@."));
+    log
+  in
+  let lean = run 0 and fat = run 1_000_000 in
+  (* the baseline takes the fat run's wall times, so only allocation
+     differs *)
+  let baseline =
+    List.map2
+      (fun (l : Bench_log.entry) (f : Bench_log.entry) ->
+        { f with Bench_log.e_alloc_mwords = l.e_alloc_mwords })
+      (Bench_log.entries lean) (Bench_log.entries fat)
+  in
+  Alcotest.(check bool) "inflated allocation fails" false
+    (Bench_log.compare_against null_ppf ~baseline ~current:fat ~tolerance:0.2);
+  Alcotest.(check bool) "unchanged allocation passes" true
+    (Bench_log.compare_against null_ppf ~baseline:(Bench_log.entries fat)
+       ~current:fat ~tolerance:0.2)
+
 let test_bench_log_min_merge () =
   let a = mk_log [ ("alpha", "one") ] and b = mk_log [ ("alpha", "one") ] in
   let merged = Bench_log.min_merge a b in
@@ -182,7 +212,15 @@ let test_bench_log_min_merge () =
   in
   Alcotest.(check (float 0.0)) "keeps the faster measurement"
     (min (wall a) (wall b))
-    (wall merged)
+    (wall merged);
+  let alloc l =
+    match Bench_log.entries l with
+    | [ e ] -> e.Bench_log.e_alloc_mwords
+    | _ -> nan
+  in
+  Alcotest.(check (float 0.0)) "keeps the smaller allocation"
+    (min (alloc a) (alloc b))
+    (alloc merged)
 
 let tests =
   [
@@ -203,6 +241,8 @@ let tests =
     Alcotest.test_case "bench-log: json roundtrip" `Quick
       test_bench_log_roundtrip;
     Alcotest.test_case "bench-log: digest gate" `Quick test_bench_log_gate;
+    Alcotest.test_case "bench-log: allocation gate" `Quick
+      test_bench_log_alloc_gate;
     Alcotest.test_case "bench-log: best-of-n merge" `Quick
       test_bench_log_min_merge;
   ]
