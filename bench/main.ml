@@ -172,7 +172,7 @@ let json_mode args =
     | _ :: tl -> keyed k tl
     | [] -> None
   in
-  let out = Option.value ~default:"BENCH_12.json" (keyed "--out" args) in
+  let out = Option.value ~default:"BENCH_13.json" (keyed "--out" args) in
   let against = keyed "--against" args in
   let tolerance =
     match keyed "--tolerance" args with
@@ -207,7 +207,7 @@ let json_mode args =
   Dsm_prof.Prof.disable ();
   let measure_once round =
     let log =
-      Bench_log.create ~pr:12 ~label:(if quick then "quick" else "full") ~quick
+      Bench_log.create ~pr:13 ~label:(if quick then "quick" else "full") ~quick
     in
     Bench_log.set_prof_invariant log (d_off = d_on);
     Bench_log.set_profile log profile_json;

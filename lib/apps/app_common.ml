@@ -60,9 +60,9 @@ let combine_err a b = Float.max a (abs_float b)
 
 (* Memoization of each app's sequential reference solution. One process-
    wide lock, held across the compute: the tables are tiny (a handful of
-   problem sizes), the compute is deterministic, and the harness fans
-   independent runs out across domains (Fanout), where an unlocked
-   Hashtbl.replace would race. *)
+   problem sizes), the compute is deterministic, and the lock keeps [memo]
+   safe for callers on any domain, where an unlocked Hashtbl.replace
+   would race. *)
 let memo_lock = Mutex.create ()
 
 let memo tbl key compute =

@@ -205,11 +205,13 @@ let term =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Shard the simulated processors across $(docv) host OCaml \
-             domains (clamped to the processor count). Results are \
-             bit-identical to $(b,1) (the default, the sequential \
-             scheduler): this is a host-execution knob and never changes \
-             simulated clocks, statistics or memory contents.")
+            "Run the message-passing versions ($(b,pvm), $(b,xhpf)) on the \
+             windowed parallel engine across $(docv) host OCaml domains \
+             (clamped to the processor count). Results are bit-identical \
+             to $(b,1) (the default, the sequential scheduler): this is a \
+             host-execution knob and never changes simulated clocks, \
+             statistics or memory contents. DSM ($(b,tmk)) runs always \
+             use the sequential scheduler.")
   in
   let make backend home_policy net_drop net_dup net_jitter_us net_seed
       replicas ckpt_every crash domains =

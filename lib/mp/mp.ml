@@ -16,7 +16,7 @@ type system = {
   mutable parallel : bool;
       (* true while running under the windowed engine: mailbox accesses
          (the only cross-shard interaction of an MP run) take [lock];
-         false on the sequential/ordered engines — no locking at all *)
+         false on the sequential engine — no locking at all *)
 }
 
 type t = { sys : system; p : int }
@@ -42,7 +42,7 @@ let[@inline] locked sys f =
    lookahead windows and the run stays bit-identical to the sequential
    engine. A faulty plan shares the fault-PRNG cursor and resequencing
    floors across processors (draw order matters), so it falls back to
-   the ordered engine, which is deterministic for every workload. *)
+   the sequential engine, which is deterministic for every workload. *)
 let run sys main =
   let cfg = sys.cluster.Cluster.cfg in
   let domains = cfg.Config.domains in
@@ -56,7 +56,7 @@ let run sys main =
           ~clock:(fun p -> Cluster.time sys.cluster p)
           (fun p -> main { sys; p }))
   end
-  else Engine.run ~domains ~nprocs:sys.nprocs (fun p -> main { sys; p })
+  else Engine.run ~nprocs:sys.nprocs (fun p -> main { sys; p })
 let pid t = t.p
 let nprocs t = t.sys.nprocs
 let charge t us = Cluster.charge t.sys.cluster t.p us

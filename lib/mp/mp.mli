@@ -16,8 +16,8 @@ val run : system -> (t -> unit) -> unit
     and a pass-through network plan, runs on the windowed conservative
     engine ({!Dsm_sim.Engine.run_windowed}) — message passing satisfies
     its isolation contract, so shards advance concurrently with
-    bit-identical results; faulty plans fall back to the ordered
-    engine. *)
+    bit-identical results; otherwise, and for faulty plans, it runs on
+    the sequential engine ({!Dsm_sim.Engine.run}). *)
 
 val pid : t -> int
 val nprocs : t -> int

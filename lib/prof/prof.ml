@@ -38,7 +38,7 @@ let enabled = ref false
 (* {1 Per-domain state}
 
    Counters, the span stack and the open-slice markers are per-domain
-   (domain-local storage): the sharded engine runs spans on every worker
+   (domain-local storage): the windowed engine runs spans on every worker
    domain concurrently, and a single global stack would interleave
    them. Each domain charges its own wall-clock and its own minor-heap
    counter (minor words are already a per-domain figure in OCaml 5);

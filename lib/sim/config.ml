@@ -82,9 +82,8 @@ type t = {
          down_us)]; the processor fail-stops at its first release point at
          or after [at_us] and rejoins after [down_us] of virtual downtime *)
   domains : int;
-      (* host domains the engine shards the simulated processors across;
-         1 = the sequential scheduler. Results are bit-identical either
-         way (see Engine) *)
+      (* host domains for the windowed engine, which runs the pvm and
+         xhpf (message-passing) versions; DSM runs ignore it (see Mp) *)
 }
 
 (* Calibration (see config.mli): solving the roundtrip, lock and barrier
@@ -127,7 +126,6 @@ let default =
   }
 
 let with_procs cfg n = { cfg with nprocs = n }
-let with_domains cfg d = { cfg with domains = d }
 
 let pp ppf c =
   Format.fprintf ppf

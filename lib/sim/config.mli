@@ -123,11 +123,12 @@ type t = {
           state after [down_us] of virtual downtime. Requires the hlrc
           backend with [replicas >= 3]. *)
   domains : int;
-      (** number of host OCaml domains the engine shards the simulated
-          processors across (clamped to [nprocs]). [1] (the default)
-          runs the sequential scheduler; [> 1] the sharded ordered
-          engine, with bit-identical results — see {!Dsm_sim.Engine}.
-          This is a host-execution knob: it never affects simulated
+      (** number of host OCaml domains (clamped to [nprocs]) for the
+          message-passing runtime: with [> 1], pvm and xhpf runs on a
+          fault-free network use the windowed engine
+          ({!Dsm_sim.Engine.run_windowed}) with bit-identical results.
+          DSM (tmk) runs always use the sequential scheduler and ignore
+          it. This is a host-execution knob: it never affects simulated
           clocks, statistics or memory contents. *)
 }
 
@@ -136,8 +137,5 @@ val default : t
 
 val with_procs : t -> int -> t
 (** [with_procs cfg n] is [cfg] with [nprocs = n]. *)
-
-val with_domains : t -> int -> t
-(** [with_domains cfg d] is [cfg] with [domains = d]. *)
 
 val pp : Format.formatter -> t -> unit

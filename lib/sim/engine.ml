@@ -1,22 +1,14 @@
 (* Deterministic scheduler for simulated processors, in two engines:
 
-   - a sequential cooperative scheduler (the original engine), used when
-     [domains <= 1]: one round-robin pass resumes every runnable fiber in
-     processor order;
-   - a sharded parallel engine on OCaml 5 domains, used when
-     [domains > 1]: processors are split into contiguous shards, each
-     fiber is created and resumed only on the domain that owns its shard,
-     and a token rotating through the shards serializes slice execution
-     in exactly the sequential engine's pass-major/processor-minor order.
-     Identical total order of slices means identical floating-point
-     charge order, hot-spot queueing and tie-breaks — bit-identical
-     results versus the sequential engine (the perf-golden bar).
-
-   A third entry point, {!run_windowed}, is the conservative
-   parallel-discrete-event (CMB-style) engine: shards advance truly
-   concurrently inside virtual-time windows bounded by the lookahead.
-   It is only deterministic for isolated workloads (see the mli);
-   the message-passing runtime qualifies, the DSM runtime does not. *)
+   - {!run}, the sequential cooperative scheduler: one round-robin pass
+     resumes every runnable fiber in processor order. Every DSM run uses
+     it; its fixed slice order is the single SP/2 interleaving the
+     perf goldens pin.
+   - {!run_windowed}, the conservative parallel-discrete-event
+     (CMB-style) engine on OCaml 5 domains: shards advance truly
+     concurrently inside virtual-time windows bounded by the lookahead.
+     It is only deterministic for isolated workloads (see the mli);
+     the message-passing runtime qualifies, the DSM runtime does not. *)
 
 exception Deadlock of string
 
@@ -49,13 +41,11 @@ type cell =
 (* {1 Sharding}
 
    Balanced contiguous shards: shard [d] of [D] owns processors
-   [d*n/D .. (d+1)*n/D - 1]. Contiguity keeps each barrier subtree and
-   each block-partitioned array mostly shard-local. *)
+   [d*n/D .. (d+1)*n/D - 1]. Contiguity keeps the neighbour exchanges
+   of block-partitioned programs mostly shard-local. *)
 
 let shard_bounds ~domains ~nprocs d =
   (d * nprocs / domains, (d + 1) * nprocs / domains)
-
-let shard_of ~domains ~nprocs p = (((p + 1) * domains) - 1) / nprocs
 
 (* Shared fiber-table helpers (both engines). *)
 
@@ -105,10 +95,9 @@ let blocked_list cells =
 let deadlock cells =
   Deadlock (Printf.sprintf "fibers blocked: [%s]" (blocked_list cells))
 
-(* {1 The sequential engine} — the pre-existing single-domain scheduler,
-   byte-for-byte the hot path when [domains <= 1]. *)
+(* {1 The sequential engine} *)
 
-let run_seq ~nprocs main =
+let run ~nprocs main =
   let cells = Array.init nprocs (fun p -> Not_started (fun () -> main p)) in
   let rec loop () =
     let progress = ref false in
@@ -141,121 +130,6 @@ let run_seq ~nprocs main =
         discontinue_range cells 0 nprocs;
         raise e)
 
-(* {1 The sharded ordered engine}
-
-   One domain per shard; a token rotates through the shards in order.
-   Only the token holder runs slices, under the engine mutex (every
-   other domain is parked in [Condition.wait]), so the execution is a
-   serialization of exactly the sequential pass order and every slice is
-   separated from the next by a mutex release/acquire pair — the
-   happens-before edge that makes all simulator state (clocks, stats,
-   page tables, trace rings) safely visible across domains without any
-   per-structure locking.
-
-   The pass structure mirrors [run_seq]: shard [D-1] closes each pass,
-   deciding termination (all fibers finished), deadlock (no slice ran in
-   a full pass) or another pass. On deadlock or a fiber failure the
-   token keeps rotating in [Unwinding] phase: each shard discontinues
-   its own suspended fibers on its own domain; when all shards have
-   unwound, everyone stops and the first failure is re-raised on the
-   calling domain. *)
-
-type phase = Scheduling | Unwinding | Stopped
-
-let run_sharded ~domains ~nprocs main =
-  let cells = Array.init nprocs (fun p -> Not_started (fun () -> main p)) in
-  let m = Mutex.create () in
-  let turn_cv = Condition.create () in
-  let turn = ref 0 in
-  let progress = ref false in
-  let phase = ref Scheduling in
-  let failure = ref None in
-  let unwound = Array.make domains false in
-  let n_unwound = ref 0 in
-  let fail e =
-    if !failure = None then failure := Some e;
-    phase := Unwinding
-  in
-  (* Close of a pass (only shard [domains-1], only in [Scheduling]):
-     the same decision the sequential loop takes after its for-loop. *)
-  let finish_pass () =
-    let unfinished = ref false in
-    Array.iter (function Finished -> () | _ -> unfinished := true) cells;
-    if not !unfinished then phase := Stopped
-    else if !progress then progress := false
-    else fail (deadlock cells)
-  in
-  let worker d =
-    let lo, hi = shard_bounds ~domains ~nprocs d in
-    let run_slot () =
-      for p = lo to hi - 1 do
-        match cells.(p) with
-        | Not_started f ->
-            progress := true;
-            cells.(p) <- Running;
-            Effect.Deep.match_with f () (handler cells p)
-        | Waiting { pred; k } ->
-            if pred () then begin
-              progress := true;
-              cells.(p) <- Running;
-              Effect.Deep.continue k ()
-            end
-        | Running | Finished -> ()
-      done
-    in
-    Dsm_prof.Prof.enter Dsm_prof.Prof.Engine;
-    Mutex.lock m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.unlock m;
-        Dsm_prof.Prof.exit Dsm_prof.Prof.Engine)
-    @@ fun () ->
-    let rec loop () =
-      while !turn <> d && !phase <> Stopped do
-        Condition.wait turn_cv m
-      done;
-      if !phase <> Stopped then begin
-        (match !phase with
-        | Scheduling ->
-            (try run_slot () with e -> fail e);
-            if !phase = Scheduling && d = domains - 1 then finish_pass ()
-        | Unwinding ->
-            if not unwound.(d) then begin
-              unwound.(d) <- true;
-              discontinue_range cells lo hi;
-              incr n_unwound;
-              if !n_unwound = domains then phase := Stopped
-            end
-        | Stopped -> ());
-        turn := (d + 1) mod domains;
-        Condition.broadcast turn_cv;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let spawned =
-    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  let join_all () = Array.iter Domain.join spawned in
-  (match worker 0 with
-  | () -> join_all ()
-  | exception e ->
-      (* defensive: the worker body catches fiber failures itself, but a
-         crash of the scheduler proper must still release the others *)
-      Mutex.lock m;
-      fail e;
-      phase := Stopped;
-      Condition.broadcast turn_cv;
-      Mutex.unlock m;
-      join_all ());
-  match !failure with Some e -> raise e | None -> ()
-
-let run ?(domains = 1) ~nprocs main =
-  let domains = max 1 (min domains nprocs) in
-  if domains = 1 then run_seq ~nprocs main
-  else run_sharded ~domains ~nprocs main
-
 (* {1 The windowed conservative engine}
 
    Classic CMB-style conservative parallel simulation: each domain
@@ -268,7 +142,12 @@ let run ?(domains = 1) ~nprocs main =
    and releases a new round. A round with no global progress whose
    runnable fibers are all beyond the window advances the window to the
    earliest runnable clock instead of deadlocking — the engine's
-   substitute for CMB null messages. *)
+   substitute for CMB null messages. On deadlock or a fiber failure the
+   run enters [Unwinding]: each domain discontinues its own shard's
+   suspended fibers, and the first failure is re-raised on the calling
+   domain once every shard has unwound. *)
+
+type phase = Scheduling | Unwinding | Stopped
 
 let run_windowed ~domains ~nprocs ~lookahead ~clock main =
   let domains = max 1 (min domains nprocs) in

@@ -1,5 +1,5 @@
-(** Deterministic scheduler for simulated processors — sequential, or
-    sharded across OCaml 5 domains.
+(** Deterministic scheduler for simulated processors — sequential, plus
+    a windowed parallel engine for isolated (message-passing) workloads.
 
     Each simulated processor runs as an OCaml-5 effect-based fiber. A
     fiber that must wait for another processor (barrier arrival, lock
@@ -19,20 +19,9 @@
     accesses are ordered by synchronization), this fixed order at
     blocking points fully determines the result: clocks, statistics,
     memory contents and trace are functions of the configuration alone.
-
-    With [domains > 1], {!run} keeps {e exactly the same total order of
-    slices}. Processors are split into contiguous shards
-    ({!shard_bounds}), one domain per shard; fibers are created,
-    resumed and discontinued only on their owning domain; and a token
-    rotating through the shards serializes slice execution in the
-    sequential pass order, each slice inside a mutex-held critical
-    section. Identical slice order means identical floating-point
-    accumulation order, identical hot-spot queueing decisions and
-    identical tie-breaks — results are bit-identical to [domains = 1]
-    (enforced by the perf-golden suite). What sharding buys is not
-    intra-run concurrency but domain affinity: each fiber's working set
-    stays on one domain, and independent runs can occupy sibling
-    domains (see {!Dsm_harness}'s fan-out).
+    The DSM runtime always runs on {!run}: its processors interact
+    through RPC charges, hot-spot occupancy and barrier-arrival order,
+    so no concurrent schedule reproduces this one interleaving.
 
     {!run_windowed} is the genuinely concurrent engine — conservative
     parallel discrete-event simulation in the Chandy–Misra–Bryant
@@ -45,7 +34,7 @@ exception Deadlock of string
     resumed nothing and every remaining fiber's predicate is false. The
     message lists the blocked processor ids, e.g.
     ["fibers blocked: [1,3]"]. All engines raise it with the same
-    message format, and all unwind the remaining fibers (as for
+    message format, and both unwind the remaining fibers (as for
     {!Proc_failure}) before the exception escapes. *)
 
 exception Proc_failure of int * exn
@@ -54,8 +43,8 @@ exception Proc_failure of int * exn
     has been discontinued (unwound through its cleanup handlers, each
     on the domain that owns it), so a failing run leaks no continuation
     and leaves no fiber marked running. If several fibers fail in one
-    multi-domain run, the first failure in scheduling order wins; the
-    rest are unwound like any other sibling. *)
+    {!run_windowed} run, the first failure recorded wins; the rest are
+    unwound like any other sibling. *)
 
 val block : until:(unit -> bool) -> unit
 (** Suspend the calling fiber until [until ()] holds. Must be called
@@ -77,21 +66,14 @@ val yield : unit -> unit
     Useful to break one processor's long computation into slices that
     interleave deterministically with its peers. *)
 
-val run : ?domains:int -> nprocs:int -> (int -> unit) -> unit
-(** [run ~domains ~nprocs main] executes [main p] for
-    [p = 0..nprocs-1] as cooperative fibers until all terminate.
-
-    [domains] (default [1], clamped to [\[1, nprocs\]]) selects the
-    engine: [1] runs the single-domain sequential scheduler — the exact
-    pre-existing code path, no mutexes, no spawns, zero overhead;
-    [> 1] spawns [domains - 1] further domains and runs the sharded
-    ordered engine described above, producing bit-identical results.
+val run : nprocs:int -> (int -> unit) -> unit
+(** [run ~nprocs main] executes [main p] for [p = 0..nprocs-1] as
+    cooperative fibers on the calling domain until all terminate.
 
     @raise Deadlock if all remaining fibers are blocked on predicates
     that no runnable fiber can satisfy.
     @raise Proc_failure if an exception escapes one of the fibers; the
-    remaining fibers are discontinued first, each on its owning
-    domain. *)
+    remaining fibers are discontinued first. *)
 
 val run_windowed :
   domains:int ->
@@ -118,7 +100,7 @@ val run_windowed :
     is a {!Deadlock}.
 
     {b Isolation contract} — results are deterministic (and equal to
-    [run ~domains:1]) only if concurrently-running fibers are
+    {!run}) only if concurrently-running fibers are
     {e isolated}: a fiber may freely mutate state owned by its
     processor (its clock, its statistics row, its pages), and may
     interact with other processors only through order-insensitive
@@ -134,18 +116,9 @@ val run_windowed :
     the unwind order across shards is not deterministic (a failing run
     makes no determinism promise). *)
 
-(** {2 Sharding layout}
-
-    Exposed for tests, the harness fan-out and the trace merger: the
-    assignment is a pure function of [(domains, nprocs)], so any layer
-    can predict which domain owns a processor without asking the
-    engine. *)
+(** {2 Sharding layout} *)
 
 val shard_bounds : domains:int -> nprocs:int -> int -> int * int
 (** [shard_bounds ~domains ~nprocs d] is the half-open processor range
-    [(lo, hi)] owned by shard [d]: contiguous, balanced to within one
-    processor ([lo = d*nprocs/domains]). *)
-
-val shard_of : domains:int -> nprocs:int -> int -> int
-(** [shard_of ~domains ~nprocs p] is the shard owning processor [p] —
-    the inverse of {!shard_bounds}. *)
+    [(lo, hi)] that {!run_windowed} assigns to shard [d]: contiguous,
+    balanced to within one processor ([lo = d*nprocs/domains]). *)

@@ -210,12 +210,9 @@ let run ?trace sys main =
       Dsm_net.Net.set_trace sys.Types.net None)
     (fun () ->
       (* the DSM protocol interacts across processors through RPCs,
-         hot-spot occupancy and barrier arrival order, so it requires the
-         ordered engine; [domains] shards it without reordering slices *)
-      Engine.run
-        ~domains:sys.Types.cluster.Cluster.cfg.Config.domains
-        ~nprocs:sys.Types.nprocs
-        (fun p ->
+         hot-spot occupancy and barrier arrival order, so it runs on the
+         sequential engine whatever [Config.domains] says *)
+      Engine.run ~nprocs:sys.Types.nprocs (fun p ->
           let t = { Types.sys; p; st = sys.Types.states.(p) } in
           main t;
           sys.Types.bops.Types.b_barrier t))

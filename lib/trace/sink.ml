@@ -7,14 +7,11 @@
    and never touches the simulated clocks or statistics, so tracing cannot
    perturb the cost model.
 
-   Domain safety under the sharded engine: each ring and its count are
-   written only by the processor that owns them — i.e. only by the one
-   domain that owns the processor's shard — so the rings need no locks.
-   The only cross-shard cell is the global sequence [next_id], which is
-   atomic; since the ordered engine serializes slices in the sequential
-   pass order, ids are assigned in the same order as the sequential run
-   and the ascending-id merge in [events] reproduces the exact
-   sequential event stream, bit for bit. *)
+   Traced runs are DSM runs, which execute on the sequential engine one
+   slice at a time, so the rings need no locks and the ascending-id
+   merge in [events] reproduces the run's event stream in emission
+   order. The global sequence [next_id] is atomic all the same, so ids
+   stay unique even if a sink is shared by runs on several domains. *)
 
 type t = {
   nprocs : int;

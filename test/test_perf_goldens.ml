@@ -1,6 +1,6 @@
-(* Optimization-safety goldens: the performance work (PR 3 and any later
-   hot-path PR) may change host wall-clock and allocation only — never the
-   simulated results. A fixed QCheck generator samples random
+(* Optimization-safety goldens: performance work on the hot path may
+   change host wall-clock and allocation only — never the simulated
+   results. A fixed QCheck generator samples random
    app/size/procs/level/async (and a few faulty-network) configurations;
    every sampled run's simulated time, verification error and Stats
    counters are rendered to a line ([%h] for floats: exact, bit-identical
@@ -59,10 +59,7 @@ let cases =
   let st = Random.State.make [| 0x5eed; 3 |] in
   List.init 22 (fun _ -> gen_case st)
 
-(* [domains] shards the engine without changing results — the parallel
-   suite (test_engine_par) replays every sampled case at 2 and 4 domains
-   against the same goldens. *)
-let run_case ?trace ?(domains = 1) c =
+let run_case ?trace c =
   let (module App : Dsm_apps.Workload.KERNEL) = List.assoc c.app apps in
   let params = if c.size = "large" then App.large else App.small in
   let cfg =
@@ -73,7 +70,6 @@ let run_case ?trace ?(domains = 1) c =
       net_dup = (if c.drop > 0.0 then 0.01 else 0.0);
       net_jitter_us = (if c.drop > 0.0 then 50.0 else 0.0);
       net_seed = c.seed;
-      domains;
     }
   in
   App.run_tmk ?trace cfg params ~level:c.level ~async:c.async

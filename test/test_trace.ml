@@ -361,10 +361,16 @@ let test_parse_line_variants () =
       Alcotest.(check string) "kind name reported" "warp_speculate" k
   | Event.Event _ | Event.Malformed _ ->
       Alcotest.fail "unknown kind must be classified, not rejected");
-  match Event.parse_line (String.sub good_line 0 (String.length good_line / 2)) with
+  (match
+     Event.parse_line (String.sub good_line 0 (String.length good_line / 2))
+   with
   | Event.Malformed _ -> ()
   | Event.Event _ | Event.Unknown_kind _ ->
-      Alcotest.fail "torn line must be malformed"
+      Alcotest.fail "torn line must be malformed");
+  match Event.parse_line (good_line ^ " {}") with
+  | Event.Malformed _ -> ()
+  | Event.Event _ | Event.Unknown_kind _ ->
+      Alcotest.fail "trailing garbage must be malformed"
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
