@@ -120,9 +120,6 @@ let run app version level size procs common sync trace_file check recheck
         let result =
           match version with
           | "tmk" -> (
-              if cfg.Core.Config.domains > 1 then
-                Format.eprintf
-                  "note: --domains applies to the pvm and xhpf versions only@.";
               match Cli.find_level level with
               | None -> Error ("unknown level: " ^ level)
               | Some l -> (

@@ -58,19 +58,13 @@ let make_result ~time_us ~stats ~max_err ?(digest = "") ?(homes = [])
 
 let combine_err a b = Float.max a (abs_float b)
 
-(* Memoization of each app's sequential reference solution. One process-
-   wide lock, held across the compute: the tables are tiny (a handful of
-   problem sizes), the compute is deterministic, and the lock keeps [memo]
-   safe for callers on any domain, where an unlocked Hashtbl.replace
-   would race. *)
-let memo_lock = Mutex.create ()
-
+(* Memoization of each app's sequential reference solution; the tables
+   are tiny (a handful of problem sizes) and the compute deterministic. *)
 let memo tbl key compute =
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt tbl key with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          Hashtbl.replace tbl key v;
-          v)
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.replace tbl key v;
+      v
 

@@ -70,10 +70,8 @@ val combine_err : float -> float -> float
 
 val memo : ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
 (** [memo tbl key compute] returns the cached value for [key], computing
-    and caching it under a process-wide lock otherwise. Used for the
-    apps' sequential reference solutions, which are shared across runs —
-    including runs on different domains, where an unlocked table would
-    race. *)
+    and caching it otherwise. Used for the apps' sequential reference
+    solutions, which are shared across runs. *)
 
 (** The informal [APP] module type that used to live here was replaced
     by the first-class {!Dsm_apps.Workload.S}, which splits [params]

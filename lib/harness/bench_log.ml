@@ -1,3 +1,5 @@
+module Jflat = Dsm_util.Jflat
+
 type entry = {
   e_name : string;
   e_wall_ms : float;
@@ -76,8 +78,8 @@ let min_merge a b =
 let total_wall_ms t =
   List.fold_left (fun a e -> a +. e.e_wall_ms) 0.0 t.entries
 
-(* One experiment object per line: {!load} parses line-wise with [Scanf],
-   which keeps the reader free of any JSON library dependency. *)
+(* One experiment object per line, so {!load} can hand each line to the
+   flat-object parser. *)
 let entry_to_json e =
   Printf.sprintf
     {|    { "name": %S, "wall_ms": %.3f, "alloc_mwords": %.3f, "top_heap_words": %d, "digest": %S }|}
@@ -114,31 +116,36 @@ let write t ~path =
   output_string oc (to_json t);
   close_out oc
 
+(* An entry line is an indented [{ "name": ...}] object, followed by a
+   comma except for the last. Every other line of the file is skipped. *)
 let load ~path =
-  let ic = open_in path in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match
-         Scanf.sscanf line
-           " { \"name\": %S, \"wall_ms\": %f, \"alloc_mwords\": %f, \"top_heap_words\": %d, \"digest\": %S"
-           (fun n w a h d ->
-             {
-               e_name = n;
-               e_wall_ms = w;
-               e_alloc_mwords = a;
-               e_top_heap_words = h;
-               e_digest = d;
-             })
-       with
-       | e -> entries := e :: !entries
-       | exception Scanf.Scan_failure _ | exception End_of_file -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  if !entries = [] then failwith (path ^ ": no benchmark entries found");
-  List.rev !entries
+  let entry i line =
+    let s = String.trim line in
+    if not (String.starts_with ~prefix:"{ \"name\":" s) then None
+    else
+      let s =
+        if String.ends_with ~suffix:"," s then
+          String.sub s 0 (String.length s - 1)
+        else s
+      in
+      try
+        let f = Jflat.parse_exn s in
+        Some
+          {
+            e_name = Jflat.str f "name";
+            e_wall_ms = Jflat.num f "wall_ms";
+            e_alloc_mwords = Jflat.num f "alloc_mwords";
+            e_top_heap_words = Jflat.int f "top_heap_words";
+            e_digest = Jflat.str f "digest";
+          }
+      with Jflat.Parse_error msg ->
+        failwith (Printf.sprintf "%s:%d: %s" path (i + 1) msg)
+  in
+  let text = In_channel.with_open_text path In_channel.input_all in
+  let lines = String.split_on_char '\n' text in
+  match List.filter_map Fun.id (List.mapi entry lines) with
+  | [] -> failwith (path ^ ": no benchmark entries found")
+  | entries -> entries
 
 (* Allocation is a property of the program, not of the host, so unlike wall
    time it gates per experiment. The absolute slack covers the 0.001 Mw

@@ -52,7 +52,8 @@ val write : t -> path:string -> unit
 val load : path:string -> entry list
 (** Parse the experiment entries back from a file {!write} produced (the
     regression gate compares a fresh run against a committed trajectory).
-    Raises [Failure] if the file contains no parseable entries. *)
+    Raises [Failure] naming the path and line number of an entry line
+    that does not parse, or if the file contains no entries. *)
 
 val compare_against :
   Format.formatter -> baseline:entry list -> current:t -> tolerance:float -> bool

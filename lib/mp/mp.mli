@@ -12,12 +12,8 @@ type t
 val make : Dsm_sim.Config.t -> system
 
 val run : system -> (t -> unit) -> unit
-(** Run one fiber per processor to completion. With [cfg.domains > 1]
-    and a pass-through network plan, runs on the windowed conservative
-    engine ({!Dsm_sim.Engine.run_windowed}) — message passing satisfies
-    its isolation contract, so shards advance concurrently with
-    bit-identical results; otherwise, and for faulty plans, it runs on
-    the sequential engine ({!Dsm_sim.Engine.run}). *)
+(** Run one fiber per processor to completion on the sequential
+    scheduler ({!Dsm_sim.Engine.run}). *)
 
 val pid : t -> int
 val nprocs : t -> int

@@ -35,22 +35,15 @@ let unattributed = n_sections
 
 let enabled = ref false
 
-(* {1 Per-domain state}
+(* {1 Profiler state}
 
-   Counters, the span stack and the open-slice markers are per-domain
-   (domain-local storage): the windowed engine runs spans on every worker
-   domain concurrently, and a single global stack would interleave
-   them. Each domain charges its own wall-clock and its own minor-heap
-   counter (minor words are already a per-domain figure in OCaml 5);
-   {!report} and {!reset} aggregate over a registry of every state ever
-   created. Enabling, resetting and reporting are assumed to happen on
-   the main domain while no worker domains are live — the engine spawns
-   workers per run and joins them before returning, so the bench/CLI
-   call pattern (enable, run, report) satisfies this. *)
+   Counters, the span stack and the open-slice markers. Every simulated
+   processor runs on the calling domain ({!Dsm_sim.Engine.run}), so one
+   module-level state sees every span. *)
 
 let max_depth = 64
 
-type dstate = {
+type state = {
   calls : int array;
   ops : int array;
   self_s : float array;
@@ -61,43 +54,28 @@ type dstate = {
   mutable slice_alloc : float;
 }
 
-let reg_lock = Mutex.create ()
-let registry : dstate list ref = ref []
-
-let fresh_state () =
-  let st =
-    {
-      calls = Array.make (n_sections + 1) 0;
-      ops = Array.make (n_sections + 1) 0;
-      self_s = Array.make (n_sections + 1) 0.0;
-      alloc_w = Array.make (n_sections + 1) 0.0;
-      stack = Array.make max_depth 0;
-      depth = 0;
-      slice_start = Unix.gettimeofday ();
-      slice_alloc = Gc.minor_words ();
-    }
-  in
-  Mutex.protect reg_lock (fun () -> registry := st :: !registry);
-  st
-
-let key = Domain.DLS.new_key fresh_state
-let[@inline] state () = Domain.DLS.get key
+let st =
+  {
+    calls = Array.make (n_sections + 1) 0;
+    ops = Array.make (n_sections + 1) 0;
+    self_s = Array.make (n_sections + 1) 0.0;
+    alloc_w = Array.make (n_sections + 1) 0.0;
+    stack = Array.make max_depth 0;
+    depth = 0;
+    slice_start = 0.0;
+    slice_alloc = 0.0;
+  }
 
 let enabled_at = ref 0.0
 let total_s = ref 0.0
 
 let reset () =
   let now = Unix.gettimeofday () in
-  Mutex.protect reg_lock (fun () ->
-      List.iter
-        (fun (st : dstate) ->
-          Array.fill st.calls 0 (n_sections + 1) 0;
-          Array.fill st.ops 0 (n_sections + 1) 0;
-          Array.fill st.self_s 0 (n_sections + 1) 0.0;
-          Array.fill st.alloc_w 0 (n_sections + 1) 0.0;
-          st.depth <- 0)
-        !registry);
-  let st = state () in
+  Array.fill st.calls 0 (n_sections + 1) 0;
+  Array.fill st.ops 0 (n_sections + 1) 0;
+  Array.fill st.self_s 0 (n_sections + 1) 0.0;
+  Array.fill st.alloc_w 0 (n_sections + 1) 0.0;
+  st.depth <- 0;
   st.slice_start <- now;
   st.slice_alloc <- Gc.minor_words ();
   total_s := 0.0;
@@ -109,7 +87,7 @@ let enable () =
 
 (* Charge the open slice to the innermost open section and start a new
    slice at [now]. *)
-let charge_slice st now aw =
+let charge_slice now aw =
   let top = if st.depth = 0 then unattributed else st.stack.(st.depth - 1) in
   st.self_s.(top) <- st.self_s.(top) +. (now -. st.slice_start);
   st.alloc_w.(top) <- st.alloc_w.(top) +. (aw -. st.slice_alloc);
@@ -119,24 +97,24 @@ let charge_slice st now aw =
 let disable () =
   if !enabled then begin
     let now = Unix.gettimeofday () in
-    charge_slice (state ()) now (Gc.minor_words ());
+    charge_slice now (Gc.minor_words ());
     total_s := now -. !enabled_at;
     enabled := false
   end
 
-let enter_on st s =
+let enter_on s =
   let i = index s in
-  charge_slice st (Unix.gettimeofday ()) (Gc.minor_words ());
+  charge_slice (Unix.gettimeofday ()) (Gc.minor_words ());
   if st.depth < max_depth then begin
     st.stack.(st.depth) <- i;
     st.depth <- st.depth + 1
   end
 
-let[@inline] enter s = if !enabled then enter_on (state ()) s
+let[@inline] enter s = if !enabled then enter_on s
 
-let exit_on st s =
+let exit_on s =
   let i = index s in
-  charge_slice st (Unix.gettimeofday ()) (Gc.minor_words ());
+  charge_slice (Unix.gettimeofday ()) (Gc.minor_words ());
   (* pop until the matching section is popped: spans abandoned by an
      exception unwind are closed here, keeping the stack consistent *)
   let rec pop () =
@@ -149,11 +127,10 @@ let exit_on st s =
   in
   pop ()
 
-let[@inline] exit s = if !enabled then exit_on (state ()) s
+let[@inline] exit s = if !enabled then exit_on s
 
 let[@inline] tick s =
   if !enabled then begin
-    let st = state () in
     let i = index s in
     st.ops.(i) <- st.ops.(i) + 1
   end
@@ -180,24 +157,10 @@ let report () =
   (* a live profile (still enabled) reports up to the current instant *)
   if !enabled then begin
     let now = Unix.gettimeofday () in
-    charge_slice (state ()) now (Gc.minor_words ());
+    charge_slice now (Gc.minor_words ());
     total_s := now -. !enabled_at
   end;
-  (* aggregate every domain's figures; worker domains have been joined *)
-  let calls = Array.make (n_sections + 1) 0 in
-  let ops = Array.make (n_sections + 1) 0 in
-  let self_s = Array.make (n_sections + 1) 0.0 in
-  let alloc_w = Array.make (n_sections + 1) 0.0 in
-  Mutex.protect reg_lock (fun () ->
-      List.iter
-        (fun (st : dstate) ->
-          for i = 0 to n_sections do
-            calls.(i) <- calls.(i) + st.calls.(i);
-            ops.(i) <- ops.(i) + st.ops.(i);
-            self_s.(i) <- self_s.(i) +. st.self_s.(i);
-            alloc_w.(i) <- alloc_w.(i) +. st.alloc_w.(i)
-          done)
-        !registry);
+  let { calls; ops; self_s; alloc_w; _ } = st in
   let rows =
     List.filter_map
       (fun s ->

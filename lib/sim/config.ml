@@ -81,9 +81,6 @@ type t = {
       (* fault tolerance: deterministic crash schedule [(proc, at_us,
          down_us)]; the processor fail-stops at its first release point at
          or after [at_us] and rejoins after [down_us] of virtual downtime *)
-  domains : int;
-      (* host domains for the windowed engine, which runs the pvm and
-         xhpf (message-passing) versions; DSM runs ignore it (see Mp) *)
 }
 
 (* Calibration (see config.mli): solving the roundtrip, lock and barrier
@@ -122,7 +119,6 @@ let default =
     replicas = 1;
     ckpt_every = 0;
     crash = [];
-    domains = 1;
   }
 
 let with_procs cfg n = { cfg with nprocs = n }

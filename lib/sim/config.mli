@@ -122,14 +122,6 @@ type t = {
           page state, and rejoins from its last checkpoint plus replica
           state after [down_us] of virtual downtime. Requires the hlrc
           backend with [replicas >= 3]. *)
-  domains : int;
-      (** number of host OCaml domains (clamped to [nprocs]) for the
-          message-passing runtime: with [> 1], pvm and xhpf runs on a
-          fault-free network use the windowed engine
-          ({!Dsm_sim.Engine.run_windowed}) with bit-identical results.
-          DSM (tmk) runs always use the sequential scheduler and ignore
-          it. This is a host-execution knob: it never affects simulated
-          clocks, statistics or memory contents. *)
 }
 
 val default : t

@@ -209,9 +209,6 @@ let run ?trace sys main =
       sys.Types.trace <- None;
       Dsm_net.Net.set_trace sys.Types.net None)
     (fun () ->
-      (* the DSM protocol interacts across processors through RPCs,
-         hot-spot occupancy and barrier arrival order, so it runs on the
-         sequential engine whatever [Config.domains] says *)
       Engine.run ~nprocs:sys.Types.nprocs (fun p ->
           let t = { Types.sys; p; st = sys.Types.states.(p) } in
           main t;

@@ -4,7 +4,7 @@
 
 exception Parse_error of string
 
-type value = Num of float | Bool of bool | Str of string | Ints of int list
+type value = Num of float | Bool of bool | Str of string | Nums of float list
 
 type t = (string * value) list
 
@@ -92,7 +92,7 @@ let parse_exn line =
         if peek () = ']' then incr pos
         else begin
           let rec go () =
-            items := int_of_float (parse_number ()) :: !items;
+            items := parse_number () :: !items;
             match peek () with
             | ',' ->
                 incr pos;
@@ -102,7 +102,7 @@ let parse_exn line =
           in
           go ()
         end;
-        Ints (List.rev !items)
+        Nums (List.rev !items)
     | _ -> Num (parse_number ())
   in
   let fields = ref [] in
@@ -136,7 +136,19 @@ let num t k =
   | Num f -> f
   | _ -> raise (Parse_error (Printf.sprintf "field %S: expected a number" k))
 
-let int t k = int_of_float (num t k)
+(* Integral and representable, or an error in the field/value/range
+   shape of [Dsm_net.Plan.field_error]: never a silent truncation. *)
+let to_int k f =
+  let lo = Float.of_int min_int in
+  (* [-. lo] is 2^62, one past [max_int] and exactly representable *)
+  if Float.is_integer f && f >= lo && f < -.lo then int_of_float f
+  else
+    raise
+      (Parse_error
+         (Printf.sprintf "%s: %g outside accepted range {integers in [%d, %d]}"
+            k f min_int max_int))
+
+let int t k = to_int k (num t k)
 
 let bool t k =
   match get t k with
@@ -150,7 +162,7 @@ let str t k =
 
 let ints t k =
   match get t k with
-  | Ints l -> l
+  | Nums l -> List.map (to_int k) l
   | _ ->
       raise (Parse_error (Printf.sprintf "field %S: expected an int array" k))
 

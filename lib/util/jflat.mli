@@ -1,14 +1,16 @@
 (** Parser for flat one-line JSON objects.
 
     Handles exactly the shape this project's own file formats use — a
-    single object of string, number, bool and flat int-array fields, no
-    nesting — which is all the protocol-plan format ({!Dsm_tmk.Proto_plan})
-    and the trace JSONL format ({!Dsm_trace.Event}) need. All accessors raise {!Parse_error} on missing fields or type
-    mismatches, carrying a message precise enough to show the user. *)
+    single object of string, number, bool and flat number-array fields, no
+    nesting — which is all the protocol-plan format ({!Dsm_tmk.Proto_plan}),
+    the trace JSONL format ({!Dsm_trace.Event}) and the benchmark
+    trajectory ({!Dsm_harness.Bench_log}) need. All accessors raise
+    {!Parse_error} on missing fields or type mismatches, carrying a
+    message precise enough to show the user. *)
 
 exception Parse_error of string
 
-type value = Num of float | Bool of bool | Str of string | Ints of int list
+type value = Num of float | Bool of bool | Str of string | Nums of float list
 
 type t = (string * value) list
 (** Parsed object: fields in source order. *)
@@ -22,9 +24,15 @@ val get : t -> string -> value
 
 val num : t -> string -> float
 val int : t -> string -> int
+(** @raise Parse_error naming the field when the number is not an
+    integer or is outside the [int] range. *)
+
 val bool : t -> string -> bool
 val str : t -> string -> string
+
 val ints : t -> string -> int list
+(** @raise Parse_error naming the field when an element is not an
+    integer or is outside the [int] range. *)
 
 val mem : t -> string -> bool
 (** Field presence, for optional fields. *)

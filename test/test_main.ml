@@ -25,5 +25,4 @@ let () =
       ("perf-infra", Test_perf_infra.tests);
       ("backends", Test_backends.tests);
       ("proto-plan", Test_plan.tests);
-      ("engine-par", Test_engine_par.tests);
     ]

@@ -6,7 +6,8 @@
    counters are rendered to a line ([%h] for floats: exact, bit-identical
    or bust) and compared against [perf_goldens.expected], which was
    recorded from the seed implementation before the first optimisation
-   pass.
+   pass. A fixed list of message-passing (pvm/xhpf) cases follows the
+   sampled ones in the same file.
 
    Regenerating (ONLY legitimate after a PR that intentionally changes the
    simulation — new cost model, protocol change — never for an
@@ -32,8 +33,11 @@ let apps : (string * (module Dsm_apps.Workload.KERNEL)) list =
     ("mgs", (module Dsm_apps.Mgs));
   ]
 
+type version = Tmk | Pvm | Xhpf
+
 type case = {
   app : string;
+  version : version;
   size : string;  (* "small" | "large" *)
   procs : int;
   level : A.opt_level;
@@ -53,11 +57,26 @@ let gen_case : case QCheck.Gen.t =
   let* level = oneofl App.levels in
   let* async = bool in
   let* drop = frequency [ (5, return 0.0); (1, return 0.02) ] in
-  return { app; size; procs; level; async; drop; seed = 1 }
+  return { app; version = Tmk; size; procs; level; async; drop; seed = 1 }
 
 let cases =
   let st = Random.State.make [| 0x5eed; 3 |] in
   List.init 22 (fun _ -> gen_case st)
+
+(* Fixed message-passing cases, appended after the sampled ones so the
+   sampled draws stay untouched: every app's pvm and xhpf version (IS
+   has no xhpf) at small size on 8 procs, Jacobi pvm at large size on 64
+   procs, and one pvm run on a lossy network. [level]/[async] do not
+   apply to these versions and are not rendered. *)
+let mp_cases =
+  let mp ?(size = "small") ?(procs = 8) ?(drop = 0.0) app version =
+    { app; version; size; procs; level = A.Base; async = false; drop; seed = 1 }
+  in
+  List.concat_map
+    (fun (app, _) ->
+      mp app Pvm :: (if app = "is" then [] else [ mp app Xhpf ]))
+    apps
+  @ [ mp ~size:"large" ~procs:64 "jacobi" Pvm; mp ~drop:0.02 "jacobi" Pvm ]
 
 let run_case ?trace c =
   let (module App : Dsm_apps.Workload.KERNEL) = List.assoc c.app apps in
@@ -72,17 +91,30 @@ let run_case ?trace c =
       net_seed = c.seed;
     }
   in
-  App.run_tmk ?trace cfg params ~level:c.level ~async:c.async
+  match c.version with
+  | Tmk -> App.run_tmk ?trace cfg params ~level:c.level ~async:c.async
+  | Pvm -> App.run_pvm cfg params
+  | Xhpf -> (Option.get App.run_xhpf) cfg params
 
 let render c (r : A.result) =
   let s = r.A.stats in
+  let head =
+    match c.version with
+    | Tmk ->
+        Printf.sprintf "%s %s procs=%d level=%s async=%b drop=%h" c.app c.size
+          c.procs
+          (A.opt_level_name c.level)
+          c.async c.drop
+    | Pvm | Xhpf ->
+        Printf.sprintf "%s %s %s procs=%d drop=%h" c.app c.size
+          (if c.version = Pvm then "pvm" else "xhpf")
+          c.procs c.drop
+  in
   Printf.sprintf
-    "%s %s procs=%d level=%s async=%b drop=%h | time=%h err=%h msgs=%d \
-     bytes=%d segv=%d mprot=%d twins=%d dc=%d da=%d db=%d locks=%d bar=%d \
-     val=%d push=%d bcast=%d retx=%d tmo=%d drop=%d dup=%d"
-    c.app c.size c.procs
-    (A.opt_level_name c.level)
-    c.async c.drop r.A.time_us r.A.max_err s.Stats.messages s.Stats.bytes
+    "%s | time=%h err=%h msgs=%d bytes=%d segv=%d mprot=%d twins=%d dc=%d \
+     da=%d db=%d locks=%d bar=%d val=%d push=%d bcast=%d retx=%d tmo=%d \
+     drop=%d dup=%d"
+    head r.A.time_us r.A.max_err s.Stats.messages s.Stats.bytes
     s.Stats.segv s.Stats.mprotects s.Stats.twins s.Stats.diffs_created
     s.Stats.diffs_applied s.Stats.diff_bytes_applied s.Stats.lock_acquires
     s.Stats.barriers s.Stats.validates s.Stats.pushes s.Stats.broadcasts
@@ -104,7 +136,7 @@ let read_lines file =
 
 (* Results are computed once, at suite-construction time, from the cwd the
    runner starts in (alcotest may chdir later). *)
-let actual = lazy (List.map (fun c -> (c, run_case c)) cases)
+let actual = lazy (List.map (fun c -> (c, run_case c)) (cases @ mp_cases))
 
 let write_goldens path =
   let oc = open_out path in
@@ -124,7 +156,7 @@ let test_goldens () =
       let expected = read_lines golden_file in
       let got = List.map (fun (c, r) -> render c r) (Lazy.force actual) in
       Alcotest.(check int)
-        "number of sampled configurations" (List.length expected)
+        "number of configurations" (List.length expected)
         (List.length got);
       List.iteri
         (fun i (e, g) ->

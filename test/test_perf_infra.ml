@@ -164,6 +164,35 @@ let test_bench_log_roundtrip () =
           Alcotest.(check string) "digest preserved" a.e_digest b.e_digest)
         (Bench_log.entries log) loaded)
 
+(* A corrupted experiment line must fail the load, naming the file and
+   line, instead of dropping that experiment from the gate. *)
+let test_bench_log_corrupt_line () =
+  let bad =
+    {|    { "name": "ablation", "wall_ms": 397..809, "alloc_mwords": 71.792, "top_heap_words": 333730314, "digest": "ed750a14c2150c789d3e0b72a9254c3d" }|}
+  in
+  let lines =
+    String.split_on_char '\n' (Bench_log.to_json (mk_log [ ("alpha", "one") ]))
+    |> List.concat_map (fun l ->
+           if String.starts_with ~prefix:"    { \"name\"" l then
+             [ l ^ ","; bad ]
+           else [ l ])
+  in
+  let path = Filename.temp_file "bench" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (String.concat "\n" lines));
+      match Bench_log.load ~path with
+      | _ -> Alcotest.fail "a corrupted entry line must not load"
+      | exception Failure msg ->
+          let line = 1 + Option.get (List.find_index (( = ) bad) lines) in
+          let where = Printf.sprintf "%s:%d:" path line in
+          Alcotest.(check bool)
+            ("error names the file and line: " ^ msg)
+            true
+            (String.starts_with ~prefix:where msg))
+
 let test_bench_log_gate () =
   let baseline = Bench_log.entries (mk_log [ ("alpha", "one") ]) in
   let same = mk_log [ ("alpha", "one") ] in
@@ -240,6 +269,8 @@ let tests =
     Alcotest.test_case "ilog: growth" `Quick test_ilog_grow;
     Alcotest.test_case "bench-log: json roundtrip" `Quick
       test_bench_log_roundtrip;
+    Alcotest.test_case "bench-log: corrupted line fails the load" `Quick
+      test_bench_log_corrupt_line;
     Alcotest.test_case "bench-log: digest gate" `Quick test_bench_log_gate;
     Alcotest.test_case "bench-log: allocation gate" `Quick
       test_bench_log_alloc_gate;

@@ -112,8 +112,8 @@ let test_plan_roundtrip () =
           Alcotest.(check bool) "round trip" true (plan = plan'))
 
 let test_plan_validation () =
-  let expect_error what p =
-    match Plan.validate p with
+  let expect_error what result =
+    match result with
     | Ok _ -> Alcotest.fail (what ^ ": expected a validation error")
     | Error e ->
         (* every message follows Dsm_net.Plan.field_error's
@@ -128,7 +128,16 @@ let test_plan_validation () =
           true
           (contains e "outside accepted range")
   in
+  (* the file loader rejects a fractional field instead of truncating it *)
+  expect_error "fractional nprocs"
+    (Plan.of_lines
+       [
+         Printf.sprintf
+           {|{"plan":%S,"version":%d,"program":"jacobi","nprocs":4.5,"page_size":4096,"level":"base","directives":0}|}
+           Plan.magic Plan.version;
+       ]);
   let p = sample_plan () in
+  let expect_error what p = expect_error what (Plan.validate p) in
   expect_error "owner out of range"
     {
       p with

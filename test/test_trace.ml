@@ -367,10 +367,17 @@ let test_parse_line_variants () =
   | Event.Malformed _ -> ()
   | Event.Event _ | Event.Unknown_kind _ ->
       Alcotest.fail "torn line must be malformed");
-  match Event.parse_line (good_line ^ " {}") with
+  (match Event.parse_line (good_line ^ " {}") with
   | Event.Malformed _ -> ()
   | Event.Event _ | Event.Unknown_kind _ ->
-      Alcotest.fail "trailing garbage must be malformed"
+      Alcotest.fail "trailing garbage must be malformed");
+  match
+    Event.parse_line
+      {|{"id":9,"proc":0,"time":2.000,"vc":[0,0],"ev":"twin","page":2.5}|}
+  with
+  | Event.Malformed _ -> ()
+  | Event.Event _ | Event.Unknown_kind _ ->
+      Alcotest.fail "a fractional page must be malformed, not truncated"
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
