@@ -161,8 +161,7 @@ let reliable_leg t ~src ~dst ~bytes ~xmit =
       emit t src
         (Event.Timeout_fire { msg; src; dst; attempt = k; backoff_us = backoff });
       st_src.Stats.retransmits <- st_src.Stats.retransmits + 1;
-      st_src.Stats.messages <- st_src.Stats.messages + 1;
-      st_src.Stats.bytes <- st_src.Stats.bytes + bytes;
+      Cluster.count t.cluster src ~msgs:1 ~bytes;
       emit t src (Event.Retransmit { msg; src; dst; attempt = k + 1 });
       attempt (k + 1) (x +. backoff)
     end
@@ -192,9 +191,7 @@ let reliable_leg t ~src ~dst ~bytes ~xmit =
    pays receive overhead. *)
 let ack t ~src ~dst ~msg ~attempts =
   let c = t.cluster.Cluster.cfg in
-  let st_dst = t.cluster.Cluster.stats.(dst) in
-  st_dst.Stats.messages <- st_dst.Stats.messages + 1;
-  st_dst.Stats.bytes <- st_dst.Stats.bytes + ack_bytes;
+  Cluster.count t.cluster dst ~msgs:1 ~bytes:ack_bytes;
   Cluster.charge t.cluster dst
     (c.Config.msg_overhead_us
     +. (c.Config.per_byte_us *. float_of_int ack_bytes));
@@ -238,18 +235,10 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~service =
     Cluster.rpc t.cluster ~src ~dst ~req_bytes ~resp_bytes ~service
   else begin
     let c = t.cluster.Cluster.cfg in
-    (* Mirror Cluster.rpc's accounting, with both legs made reliable. *)
-    let st_src = t.cluster.Cluster.stats.(src)
-    and st_dst = t.cluster.Cluster.stats.(dst) in
-    st_src.Stats.messages <- st_src.Stats.messages + 1;
-    st_src.Stats.bytes <- st_src.Stats.bytes + req_bytes;
-    st_dst.Stats.messages <- st_dst.Stats.messages + 1;
-    st_dst.Stats.bytes <- st_dst.Stats.bytes + resp_bytes;
-    let handler_time =
-      c.Config.interrupt_us +. c.Config.msg_overhead_us +. service
-      +. c.Config.msg_overhead_us
-      +. (c.Config.per_byte_us *. float_of_int resp_bytes)
-    in
+    (* Cluster.rpc's counts and handler time, both legs made reliable. *)
+    Cluster.count t.cluster src ~msgs:1 ~bytes:req_bytes;
+    Cluster.count t.cluster dst ~msgs:1 ~bytes:resp_bytes;
+    let handler_time = Cluster.handler_time t.cluster ~service ~resp_bytes in
     Cluster.charge t.cluster dst handler_time;
     let send_done =
       Cluster.time t.cluster src
@@ -284,20 +273,9 @@ let bcast t ~src ~bytes =
   else begin
     let c = t.cluster.Cluster.cfg in
     let n = Cluster.nprocs t.cluster in
-    let st = t.cluster.Cluster.stats.(src) in
-    st.Stats.messages <- st.Stats.messages + (n - 1);
-    st.Stats.bytes <- st.Stats.bytes + (bytes * (n - 1));
-    st.Stats.broadcasts <- st.Stats.broadcasts + 1;
-    let per_hop =
-      c.Config.msg_overhead_us
-      +. (c.Config.per_byte_us *. float_of_int bytes)
-      +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
-    in
-    let hops =
-      if c.Config.bcast_log_tree then
-        int_of_float (ceil (log (float_of_int n) /. log 2.0))
-      else n - 1
-    in
+    Cluster.count_bcast t.cluster src ~bytes;
+    let per_hop = Cluster.bcast_per_hop t.cluster ~bytes in
+    let hops = Cluster.bcast_hops t.cluster in
     (* Model each of the root's tree hops as a reliable leg to that hop's
        first receiver; faults on a hop delay every later hop (the tree
        stages serialize at the root). [penalty] accumulates the extra
@@ -309,7 +287,7 @@ let bcast t ~src ~bytes =
         else (src + h + 1) mod n
       in
       let xmit =
-        Cluster.time t.cluster src
+        t.cluster.Cluster.clocks.(src)
         +. !penalty
         +. (float_of_int h *. per_hop)
         +. c.Config.msg_overhead_us

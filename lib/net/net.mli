@@ -7,8 +7,10 @@
     numbers, acks, timeout + exponential-backoff retransmission,
     duplicate suppression and per-flow resequencing. Recovery costs
     (retransmit wire time, timeout stalls, ack overhead) are charged to
-    the virtual clocks and counted in the new {!Dsm_sim.Stats} fields
-    ([retransmits], [timeouts], [dropped], [duplicates]).
+    the virtual clocks and counted in the {!Dsm_sim.Stats} fields
+    [retransmits], [timeouts], [dropped] and [duplicates]; every
+    message, retransmissions and acks included, is counted through
+    {!Dsm_sim.Cluster.count}.
 
     With a passthrough plan (all fault rates zero) every function
     delegates directly to the corresponding [Cluster] function —

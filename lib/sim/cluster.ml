@@ -27,17 +27,41 @@ let time t p = t.clocks.(p)
 
 let elapsed t = Array.fold_left max 0.0 t.clocks
 
-let charge t p dt = t.clocks.(p) <- t.clocks.(p) +. dt
+(* [@inline] on [charge], [occupy] and the cost formulas keeps their float
+   arguments and results unboxed inside the cost functions below: costing a
+   message allocates nothing beyond a returned arrival time. *)
+let[@inline] charge t p dt = t.clocks.(p) <- t.clocks.(p) +. dt
 
 let sync_clock t p at = if at > t.clocks.(p) then t.clocks.(p) <- at
 
+(* The one place a message is counted: every write to the [messages],
+   [bytes] and [broadcasts] statistics goes through here. *)
+let count t p ~msgs ~bytes =
+  let st = t.stats.(p) in
+  st.Stats.messages <- st.Stats.messages + msgs;
+  st.Stats.bytes <- st.Stats.bytes + bytes
+
+let count_bcast t p ~bytes =
+  let n1 = nprocs t - 1 in
+  count t p ~msgs:n1 ~bytes:(bytes * n1);
+  let st = t.stats.(p) in
+  st.Stats.broadcasts <- st.Stats.broadcasts + 1
+
 let send t ~src ~dst:_ ~bytes =
   let c = t.cfg in
-  let st = t.stats.(src) in
-  st.Stats.messages <- st.Stats.messages + 1;
-  st.Stats.bytes <- st.Stats.bytes + bytes;
+  count t src ~msgs:1 ~bytes;
   charge t src (c.Config.msg_overhead_us +. (c.Config.per_byte_us *. float_of_int bytes));
   t.clocks.(src) +. c.Config.wire_latency_us
+
+let reply t ~src ~dst:_ ~at ~bytes =
+  let c = t.cfg in
+  count t src ~msgs:1 ~bytes;
+  (* sender-side cost, stolen from the responder's cpu *)
+  charge t src
+    (c.Config.msg_overhead_us +. (c.Config.per_byte_us *. float_of_int bytes));
+  at
+  +. (c.Config.per_byte_us *. float_of_int bytes)
+  +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
 
 let recv_charge t ~dst ~arrival ~interrupt =
   let c = t.cfg in
@@ -48,7 +72,7 @@ let recv_charge t ~dst ~arrival ~interrupt =
 
 (* Claim the target's handler: serialize behind an overlapping busy period,
    start a new one otherwise. *)
-let occupy t dst ~arrival ~handler_time =
+let[@inline] occupy t dst ~arrival ~handler_time =
   if not t.cfg.Config.enable_hotspot_queueing then arrival
   else if arrival >= t.busy_until.(dst) then begin
     t.busy_start.(dst) <- arrival;
@@ -62,51 +86,49 @@ let occupy t dst ~arrival ~handler_time =
   end
   else arrival (* served in the past; occupancy unknown, assume free *)
 
+let[@inline] handler_time t ~service ~resp_bytes =
+  let c = t.cfg in
+  c.Config.interrupt_us +. c.Config.msg_overhead_us +. service
+  +. c.Config.msg_overhead_us
+  +. (c.Config.per_byte_us *. float_of_int resp_bytes)
+
+(* Interrupt handling steals cycles from the target processor; back-to-back
+   requests to the same target serialize behind its handler occupancy. *)
+let[@inline] serve t ~dst ~arrival ~handler_time ~bytes =
+  charge t dst handler_time;
+  count t dst ~msgs:1 ~bytes;
+  let start = occupy t dst ~arrival ~handler_time in
+  start +. handler_time +. t.cfg.Config.wire_latency_us
+
 let rpc t ~src ~dst ~req_bytes ~resp_bytes ~service =
   let c = t.cfg in
-  let st_src = t.stats.(src)
-  and st_dst = t.stats.(dst) in
-  st_src.Stats.messages <- st_src.Stats.messages + 1;
-  st_src.Stats.bytes <- st_src.Stats.bytes + req_bytes;
-  st_dst.Stats.messages <- st_dst.Stats.messages + 1;
-  st_dst.Stats.bytes <- st_dst.Stats.bytes + resp_bytes;
-  let handler_time =
-    c.Config.interrupt_us +. c.Config.msg_overhead_us +. service
-    +. c.Config.msg_overhead_us
-    +. (c.Config.per_byte_us *. float_of_int resp_bytes)
-  in
-  (* Interrupt handling steals cycles from the target processor; back-to-back
-     requests to the same target serialize behind its handler occupancy. *)
-  charge t dst handler_time;
-  let send_done =
+  count t src ~msgs:1 ~bytes:req_bytes;
+  let handler_time = handler_time t ~service ~resp_bytes in
+  let arrival =
     t.clocks.(src)
     +. c.Config.msg_overhead_us
     +. (c.Config.per_byte_us *. float_of_int req_bytes)
+    +. c.Config.wire_latency_us
   in
-  let arrival = send_done +. c.Config.wire_latency_us in
-  let start = occupy t dst ~arrival ~handler_time in
   t.clocks.(src) <-
-    start +. handler_time +. c.Config.wire_latency_us
+    serve t ~dst ~arrival ~handler_time ~bytes:resp_bytes
     +. c.Config.msg_overhead_us
 
-let bcast t ~src ~bytes =
-  let c = t.cfg in
+let bcast_hops t =
   let n = nprocs t in
-  let st = t.stats.(src) in
-  st.Stats.messages <- st.Stats.messages + (n - 1);
-  st.Stats.bytes <- st.Stats.bytes + (bytes * (n - 1));
-  st.Stats.broadcasts <- st.Stats.broadcasts + 1;
-  let per_hop =
-    c.Config.msg_overhead_us
-    +. (c.Config.per_byte_us *. float_of_int bytes)
-    +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
-  in
-  let hops =
-    if c.Config.bcast_log_tree then
-      int_of_float (ceil (log (float_of_int n) /. log 2.0))
-    else n - 1
-  in
-  charge t src (float_of_int hops *. per_hop);
+  if t.cfg.Config.bcast_log_tree then
+    int_of_float (ceil (log (float_of_int n) /. log 2.0))
+  else n - 1
+
+let[@inline] bcast_per_hop t ~bytes =
+  let c = t.cfg in
+  c.Config.msg_overhead_us
+  +. (c.Config.per_byte_us *. float_of_int bytes)
+  +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
+
+let bcast t ~src ~bytes =
+  count_bcast t src ~bytes;
+  charge t src (float_of_int (bcast_hops t) *. bcast_per_hop t ~bytes);
   t.clocks.(src)
 
 let mm_op t p ~npages =

@@ -129,7 +129,7 @@ let switchable sys page =
 (* Square up one processor's LRC watermarks after its copy was made
    current by a switch. *)
 let mark_current sys q page =
-  let m = Protocol.meta sys.states.(q) ~nprocs:sys.nprocs page in
+  let m = Protocol.meta sys.states.(q) page in
   List.iter
     (fun w ->
       let kv = Wmap.get m.known w in
@@ -215,7 +215,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
           (* every released interval is reflected in the distributed copy:
              no writer must ever re-flush pre-switch history *)
           for w = 0 to sys.nprocs - 1 do
-            let m = Protocol.meta sys.states.(w) ~nprocs:sys.nprocs page in
+            let m = Protocol.meta sys.states.(w) page in
             let own = Vc.get sys.states.(w).vc w in
             if own > m.home_flushed then m.home_flushed <- own
           done

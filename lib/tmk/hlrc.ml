@@ -56,7 +56,7 @@ let flush_pages_replicated sys p ~seq pages =
   let quorum = sys.ft.Ft.quorum in
   List.iter
     (fun page ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       let c = Protocol.materialize sys ~writer:p ~page in
       if c > 0.0 then Cluster.charge sys.cluster p c;
       let r =
@@ -100,7 +100,7 @@ let flush_pages_replicated sys p ~seq pages =
             ignore
               (Cluster.occupy sys.cluster member ~arrival
                  ~handler_time:service);
-            let hm = Protocol.meta hst ~nprocs:sys.nprocs page in
+            let hm = Protocol.meta hst page in
             let hpg = Page_table.get hst.pt page in
             List.iter
               (fun u ->
@@ -158,7 +158,7 @@ let flush_pages sys p ~seq pages =
                (the homeless protocol would do both lazily). *)
             let c = Protocol.materialize sys ~writer:p ~page in
             if c > 0.0 then Cluster.charge sys.cluster p c;
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
+            let m = Protocol.meta st page in
             if seq > m.home_flushed then m.home_flushed <- seq
           end
           else by_home.(home) <- page :: by_home.(home))
@@ -173,7 +173,7 @@ let flush_pages sys p ~seq pages =
             let per_page =
               List.map
                 (fun page ->
-                  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+                  let m = Protocol.meta st page in
                   let c = Protocol.materialize sys ~writer:p ~page in
                   if c > 0.0 then Cluster.charge sys.cluster p c;
                   let r =
@@ -214,7 +214,7 @@ let flush_pages sys p ~seq pages =
                     | Some twin -> Diff.apply u.Diff_store.payload twin
                     | None -> ())
                   sorted;
-                let hm = Protocol.meta hst ~nprocs:sys.nprocs page in
+                let hm = Protocol.meta hst page in
                 if high > Wmap.get hm.applied p then Wmap.set hm.applied p high;
                 if Wmap.get hm.known p < Wmap.get hm.applied p then
                   Wmap.set hm.known p (Wmap.get hm.applied p);
@@ -250,8 +250,8 @@ let release sys p =
 
 (* A page's copy is stale when a write notice outruns the applied
    watermark. Pages already consistent need no data movement. *)
-let stale st ~nprocs p page =
-  let m = Protocol.meta st ~nprocs page in
+let stale st p page =
+  let m = Protocol.meta st page in
   Wmap.exists (fun q kv -> q <> p && kv > Wmap.get m.applied q) m.known
 
 (* The home's own copy needs no message: flushes landed in it eagerly, so
@@ -259,7 +259,7 @@ let stale st ~nprocs p page =
    rollback or a foreign notice invalidated the home's page). *)
 let revalidate_local sys p page =
   let st = sys.states.(p) in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+  let m = Protocol.meta st page in
   Wmap.iter
     (fun q kv ->
       if kv > Wmap.get m.applied q then begin
@@ -289,7 +289,7 @@ let install_home_copy sys p page ~home =
   let st = sys.states.(p) in
   let hpg = Page_table.get sys.states.(home).pt page in
   let pg = Page_table.get st.pt page in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+  let m = Protocol.meta st page in
   let cur =
     match pg.Page_table.twin with
     | Some twin -> Some (Diff.create ~twin ~current:pg.Page_table.data)
@@ -341,8 +341,7 @@ let quorum_fetch_pages sys p pages ~mode =
   let by_src = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st ~nprocs:sys.nprocs p page || Ft.is_lost sys.ft p page
-      then begin
+      if stale st p page || Ft.is_lost sys.ft p page then begin
         let live =
           Recover.live_members sys p (Recover.group_of sys ~toucher:p page)
         in
@@ -371,22 +370,8 @@ let quorum_fetch_pages sys p pages ~mode =
         let npages = List.length entries in
         let payload = npages * sys.page_size in
         let resp_bytes = payload + (16 * npages) in
-        (match mode with
-        | Protocol.Rpc ->
-            Net.rpc sys.net ~src:p ~dst:src ~req_bytes:(16 * npages)
-              ~resp_bytes ~service:cfg.Config.diff_service_us
-        | Protocol.Prepaid -> ()
-        | Protocol.Piggyback at ->
-            let hstats = sys.cluster.Cluster.stats.(src) in
-            hstats.Stats.messages <- hstats.Stats.messages + 1;
-            hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-            Cluster.charge sys.cluster src
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us));
+        Protocol.pay_fetch sys p ~q:src ~mode ~req_bytes:(16 * npages)
+          ~resp_bytes ~mat_cost:0.0 ~ndiffs:0;
         List.iter
           (fun (page, live) ->
             install_home_copy sys p page ~home:src;
@@ -394,10 +379,8 @@ let quorum_fetch_pages sys p pages ~mode =
                (e.g. right after the reader restarted from an old
                checkpoint); adopt its watermarks so the install is not
                immediately re-judged stale *)
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
-            let cm =
-              Protocol.meta sys.states.(src) ~nprocs:sys.nprocs page
-            in
+            let m = Protocol.meta st page in
+            let cm = Protocol.meta sys.states.(src) page in
             Wmap.iter
               (fun q cv ->
                 if cv > Wmap.get m.applied q then begin
@@ -446,7 +429,7 @@ let fetch_pages_single sys p pages ~mode =
   let by_home = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st ~nprocs:sys.nprocs p page then begin
+      if stale st p page then begin
         let home = home_of sys ~toucher:p page in
         if home = p then revalidate_local sys p page
         else by_home.(home) <- page :: by_home.(home)
@@ -460,22 +443,8 @@ let fetch_pages_single sys p pages ~mode =
         let npages = List.length hpages in
         let payload = npages * sys.page_size in
         let resp_bytes = payload + (16 * npages) in
-        (match mode with
-        | Protocol.Rpc ->
-            Net.rpc sys.net ~src:p ~dst:home ~req_bytes:(16 * npages)
-              ~resp_bytes ~service:cfg.Config.diff_service_us
-        | Protocol.Prepaid -> ()
-        | Protocol.Piggyback at ->
-            let hstats = sys.cluster.Cluster.stats.(home) in
-            hstats.Stats.messages <- hstats.Stats.messages + 1;
-            hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-            Cluster.charge sys.cluster home
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us));
+        Protocol.pay_fetch sys p ~q:home ~mode ~req_bytes:(16 * npages)
+          ~resp_bytes ~mat_cost:0.0 ~ndiffs:0;
         List.iter
           (fun page ->
             install_home_copy sys p page ~home;
@@ -517,10 +486,7 @@ let async_fetch_single sys p pages =
   let by_home = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if
-        (not (Hashtbl.mem st.pending_async page))
-        && stale st ~nprocs:sys.nprocs p page
-      then begin
+      if (not (Hashtbl.mem st.pending_async page)) && stale st p page then begin
         let home = home_of sys ~toucher:p page in
         if home = p then revalidate_local sys p page
         else by_home.(home) <- page :: by_home.(home)
@@ -536,20 +502,13 @@ let async_fetch_single sys p pages =
           Net.send sys.net ~src:p ~dst:home ~bytes:(16 * npages)
         in
         let resp_bytes = (npages * sys.page_size) + (16 * npages) in
-        let service =
-          cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
-          +. cfg.Config.diff_service_us +. cfg.Config.msg_overhead_us
-          +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
+        let arrival =
+          Cluster.serve sys.cluster ~dst:home ~arrival:arrival_at_home
+            ~handler_time:
+              (Cluster.handler_time sys.cluster
+                 ~service:cfg.Config.diff_service_us ~resp_bytes)
+            ~bytes:resp_bytes
         in
-        Cluster.charge sys.cluster home service;
-        let hstats = sys.cluster.Cluster.stats.(home) in
-        hstats.Stats.messages <- hstats.Stats.messages + 1;
-        hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-        let start =
-          Cluster.occupy sys.cluster home ~arrival:arrival_at_home
-            ~handler_time:service
-        in
-        let arrival = start +. service +. cfg.Config.wire_latency_us in
         List.iter
           (fun page ->
             let prev =
@@ -601,7 +560,7 @@ let write_fault sys p page =
   pstats.Stats.segv <- pstats.Stats.segv + 1;
   Cluster.mm_op sys.cluster p ~npages:1;
   let pg = Page_table.get st.pt page in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+  let m = Protocol.meta st page in
   let fetch = pg.Page_table.prot = Page_table.No_access in
   if sys.trace <> None then
     Protocol.emit sys p (Dsm_trace.Event.Page_fault { page; write = true; fetch });
@@ -670,7 +629,7 @@ let handle_wsync sys p ~epoch ~departure_clock ~my_reqs =
           (fun page ->
             if
               (not (Hashtbl.mem st.pending_async page))
-              && stale st ~nprocs:sys.nprocs p page
+              && stale st p page
             then begin
               let home = home_of sys ~toucher:p page in
               if home = p then revalidate_local sys p page
@@ -685,17 +644,9 @@ let handle_wsync sys p ~epoch ~departure_clock ~my_reqs =
                  answers at departure and the faults consume the copies *)
               let hpages = List.rev rev_pages in
               let npages = List.length hpages in
-              let resp_bytes = (npages * sys.page_size) + (16 * npages) in
-              let hstats = sys.cluster.Cluster.stats.(home) in
-              hstats.Stats.messages <- hstats.Stats.messages + 1;
-              hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-              Cluster.charge sys.cluster home
-                (cfg.Config.msg_overhead_us
-                +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
               let arrival =
-                departure_clock
-                +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-                +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+                Cluster.reply sys.cluster ~src:home ~dst:p ~at:departure_clock
+                  ~bytes:((npages * sys.page_size) + (16 * npages))
               in
               List.iter
                 (fun page ->

@@ -60,7 +60,7 @@ let entry sys page =
    replay sees [applied = known]. A no-op under the pure invalidate
    backend, where no write notices ever flow. *)
 let mark_current sys p page =
-  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let m = Protocol.meta sys.states.(p) page in
   Wmap.iter
     (fun q kv ->
       if kv > Wmap.get m.applied q then begin
@@ -147,20 +147,17 @@ let ensure_excl sys p page =
             let qpg = Page_table.get sys.states.(q).pt page in
             qpg.Page_table.prot <- Page_table.No_access;
             (* the victim's handler drops the copy and acks to the writer *)
-            let service =
-              cfg.Config.interrupt_us +. (2.0 *. cfg.Config.msg_overhead_us)
+            let ack =
+              Cluster.serve sys.cluster ~dst:q ~arrival
+                ~handler_time:
+                  (cfg.Config.interrupt_us
+                  +. (2.0 *. cfg.Config.msg_overhead_us))
+                ~bytes:16
             in
-            Cluster.charge sys.cluster q service;
-            let qstats = sys.cluster.Cluster.stats.(q) in
-            qstats.Stats.messages <- qstats.Stats.messages + 1;
-            qstats.Stats.bytes <- qstats.Stats.bytes + 16;
             if sys.trace <> None then
               Protocol.emit sys q
                 (Dsm_trace.Event.Inval_ack { page; writer = p });
-            let start =
-              Cluster.occupy sys.cluster q ~arrival ~handler_time:service
-            in
-            start +. service +. cfg.Config.wire_latency_us)
+            ack)
           victims
       in
       List.iter

@@ -35,7 +35,7 @@ let in_dirty st page = Hashtbl.mem st.dirty page
 let mark_dirty st page =
   if not (Hashtbl.mem st.dirty page) then Hashtbl.replace st.dirty page ()
 
-let meta st ~nprocs:_ page =
+let meta st page =
   match Hashtbl.find_opt st.meta page with
   | Some m -> m
   | None ->
@@ -121,7 +121,7 @@ let release_pages sys p =
       let vcsum = Vc.sum st.vc in
       List.iter
         (fun page ->
-          let m = meta st ~nprocs:sys.nprocs page in
+          let m = meta st page in
           (* A materialized diff covers every interval since the last
              materialization; it is stamped with its FIRST interval's clock.
              Applying spans at their head position is order-correct: the
@@ -150,7 +150,7 @@ let release_pages sys p =
             match Hashtbl.find_opt sys.obj_regions page with
             | None -> ()
             | Some osz ->
-                let m = meta st ~nprocs:sys.nprocs page in
+                let m = meta st page in
                 let pg = Page_table.get st.pt page in
                 let slots =
                   if not (Range.is_empty m.write_all) then
@@ -196,7 +196,7 @@ let release sys p =
    request's service time. *)
 let materialize sys ~writer ~page =
   let st = sys.states.(writer) in
-  let m = meta st ~nprocs:sys.nprocs page in
+  let m = meta st page in
   if m.lazy_hi = 0 then 0.0
   else begin
     let pstats = sys.cluster.Cluster.stats.(writer) in
@@ -293,7 +293,7 @@ let apply_notice sys p ~writer ~seq ~pages =
     let invalidated = ref [] in
     List.iter
       (fun page ->
-        let m = meta st ~nprocs:sys.nprocs page in
+        let m = meta st page in
         if seq > Wmap.get m.known writer then Wmap.set m.known writer seq;
         if Wmap.get m.known writer > Wmap.get m.applied writer then begin
           (if sys.has_objs then
@@ -368,6 +368,23 @@ type fetch_mode =
       (** one data message per writer, sent at the given time (responses to
           section requests piggy-backed on a synchronization operation) *)
 
+(* Pay, according to [mode], for one aggregated answer of [resp_bytes] from
+   responder [q] to [p]: [mat_cost] is [q]'s diff materialization work and
+   [ndiffs] the number of diffs the answer carries. *)
+let pay_fetch sys p ~q ~mode ~req_bytes ~resp_bytes ~mat_cost ~ndiffs =
+  match mode with
+  | Rpc ->
+      Net.rpc sys.net ~src:p ~dst:q ~req_bytes ~resp_bytes
+        ~service:
+          (sys.cluster.Cluster.cfg.Config.diff_service_us +. mat_cost
+          +. (2.0 *. float_of_int ndiffs))
+  | Prepaid -> Cluster.charge sys.cluster q mat_cost
+  | Piggyback at ->
+      Cluster.charge sys.cluster q mat_cost;
+      if resp_bytes > 0 then
+        Cluster.sync_clock sys.cluster p
+          (Cluster.reply sys.cluster ~src:q ~dst:p ~at ~bytes:resp_bytes)
+
 (* Compute which writers' diffs [p] is missing for [pages], materialize the
    pending lazy diffs (recording the cost per writer), and apply supersede
    pruning. Shared by the synchronous, piggy-backed and asynchronous fetch
@@ -379,7 +396,7 @@ let gather_needs sys p pages ?only_via () =
   let mat_costs : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun page ->
-      let m = meta st ~nprocs:sys.nprocs page in
+      let m = meta st page in
       let needed = ref [] in
       (* ascending scan of the known watermarks, accumulated in reverse:
          [needed] ends up ascending, exactly like the dense loop it
@@ -393,10 +410,7 @@ let gather_needs sys p pages ?only_via () =
               | Some r ->
                   q = r
                   || Dsm_mem.Page_table.find sys.states.(r).pt page <> None
-                     && Wmap.get
-                          (meta sys.states.(r) ~nprocs:sys.nprocs page).applied
-                          q
-                        >= kv
+                     && Wmap.get (meta sys.states.(r) page).applied q >= kv
             in
             if keep then needed := q :: !needed
           end)
@@ -524,7 +538,7 @@ let fetch_and_apply sys p pages ~mode ?only_via () =
                 l
           in
           cell := r.Diff_store.units @ !cell;
-          let m = meta st ~nprocs:sys.nprocs page in
+          let m = meta st page in
           let high =
             List.fold_left
               (fun acc u -> max acc u.Diff_store.upto_seq)
@@ -541,31 +555,10 @@ let fetch_and_apply sys p pages ~mode ?only_via () =
       pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + !total_ndiffs;
       pstats.Stats.diff_bytes_applied <-
         pstats.Stats.diff_bytes_applied + !total_bytes;
-      let resp_bytes = !total_bytes + (8 * !total_ndiffs) in
-      match mode with
-      | Rpc ->
-          Net.rpc sys.net ~src:p ~dst:q
-            ~req_bytes:(16 * List.length reqs)
-            ~resp_bytes
-            ~service:
-              (cfg.Config.diff_service_us +. !mat_cost
-              +. (2.0 *. float_of_int !total_ndiffs))
-      | Prepaid -> Cluster.charge sys.cluster q !mat_cost
-      | Piggyback at ->
-          Cluster.charge sys.cluster q !mat_cost;
-          if resp_bytes > 0 then begin
-            let qstats = sys.cluster.Cluster.stats.(q) in
-            qstats.Stats.messages <- qstats.Stats.messages + 1;
-            qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes;
-            (* sender-side cost, stolen from q's cpu *)
-            Cluster.charge sys.cluster q
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us)
-          end)
+      pay_fetch sys p ~q ~mode
+        ~req_bytes:(16 * List.length reqs)
+        ~resp_bytes:(!total_bytes + (8 * !total_ndiffs))
+        ~mat_cost:!mat_cost ~ndiffs:!total_ndiffs)
     by_writer;
   (* Apply units page by page, in an order consistent with happens-before. *)
   Hashtbl.iter
@@ -663,7 +656,7 @@ let record_write_all sys p ranges =
   let st = sys.states.(p) in
   List.iter
     (fun page ->
-      let m = meta st ~nprocs:sys.nprocs page in
+      let m = meta st page in
       m.write_all <-
         Range.union m.write_all
           (Range.clip_to_page ~page_size:sys.page_size ~page ranges))
@@ -736,7 +729,7 @@ let obj_skip sys p ~ranges pages =
         match Hashtbl.find_opt sys.obj_regions page with
         | None -> keep := page :: !keep
         | Some osz ->
-            let m = meta st ~nprocs:sys.nprocs page in
+            let m = meta st page in
             let stale =
               Wmap.exists
                 (fun q kv -> q <> p && kv > Wmap.get m.applied q)
@@ -806,30 +799,26 @@ let async_fetch sys p pages =
       let mat_cost =
         match Hashtbl.find_opt mat_costs q with Some r -> r | None -> ref 0.0
       in
-      let resp_bytes, ndiffs =
+      let diff_bytes, ndiffs =
         List.fold_left
           (fun (b, n) (page, after, upto) ->
             let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
             (b + r.Diff_store.charge_bytes, n + r.Diff_store.ndiffs))
           (0, 0) reqs
       in
+      let resp_bytes = diff_bytes + (8 * ndiffs) in
       let service =
         cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
         +. cfg.Config.diff_service_us +. !mat_cost
         +. (2.0 *. float_of_int ndiffs)
         +. cfg.Config.msg_overhead_us
-        +. (cfg.Config.per_byte_us *. float_of_int (resp_bytes + (8 * ndiffs)))
+        +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
       in
-      Cluster.charge sys.cluster q service;
-      let qstats = sys.cluster.Cluster.stats.(q) in
-      qstats.Stats.messages <- qstats.Stats.messages + 1;
-      qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes + (8 * ndiffs);
       (* back-to-back requests serialize at the target's handler *)
-      let start =
-        Cluster.occupy sys.cluster q ~arrival:arrival_at_q
-          ~handler_time:service
+      let arrival =
+        Cluster.serve sys.cluster ~dst:q ~arrival:arrival_at_q
+          ~handler_time:service ~bytes:resp_bytes
       in
-      let arrival = start +. service +. cfg.Config.wire_latency_us in
       List.iter
         (fun (page, _, _) ->
           let prev =
@@ -848,7 +837,7 @@ let write_fault sys p page =
   pstats.Stats.segv <- pstats.Stats.segv + 1;
   Cluster.mm_op sys.cluster p ~npages:1;
   let pg = Page_table.get st.pt page in
-  let m = meta st ~nprocs:sys.nprocs page in
+  let m = meta st page in
   let fetch = pg.Page_table.prot = Page_table.No_access in
   if sys.trace <> None then
     emit sys p (Dsm_trace.Event.Page_fault { page; write = true; fetch });

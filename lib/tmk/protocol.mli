@@ -33,7 +33,7 @@ val emit : system -> int -> Dsm_trace.Event.kind -> unit
     event payload so a disabled trace allocates nothing; emission never
     charges simulated time. *)
 
-val meta : pstate -> nprocs:int -> int -> page_meta
+val meta : pstate -> int -> page_meta
 (** Per-page protocol metadata (applied/known watermarks, WRITE_ALL ranges,
     pending lazy interval), created on first use. *)
 
@@ -70,6 +70,17 @@ type fetch_mode =
   | Piggyback of float
       (** one data message per writer, sent at the given time (responses to
           section requests piggy-backed on a synchronization operation) *)
+
+val pay_fetch :
+  system -> int -> q:int -> mode:fetch_mode -> req_bytes:int ->
+  resp_bytes:int -> mat_cost:float -> ndiffs:int -> unit
+(** Pay for one aggregated answer of [resp_bytes] from responder [q] to
+    processor [p] according to [mode]: an [Rpc] whose service is the diff
+    service time plus [mat_cost] (the responder's materialization work) and
+    2 us per diff of the [ndiffs] carried; [Prepaid] charges only
+    [mat_cost]; [Piggyback at] charges [mat_cost] and sends a
+    {!Dsm_sim.Cluster.reply} leaving [q] at [at] (none when [resp_bytes]
+    is 0), which bypasses the fault plan. *)
 
 val gather_needs :
   system -> int -> int list -> ?only_via:int -> unit ->

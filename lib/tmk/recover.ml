@@ -114,9 +114,9 @@ let live_members sys p members =
    dominance test is per reader rather than a global "newest copy"
    order. *)
 let pick_source sys p page ~live =
-  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let m = Protocol.meta sys.states.(p) page in
   let dominates c =
-    let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
+    let cm = Protocol.meta sys.states.(c) page in
     (not (Ft.is_lost sys.ft c page)) && Wmap.dominates cm.applied m.known
   in
   List.find_opt (fun c -> c <> p && dominates c) live
@@ -186,7 +186,7 @@ let restore sys p =
   Array.iteri (fun q v -> if q <> p then Vc.set st.vc q v) ck.Ft.ck_vc;
   Hashtbl.iter
     (fun page known ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       List.iter
         (fun (q, v) -> if v > Wmap.get m.known q then Wmap.set m.known q v)
         known)
@@ -224,8 +224,8 @@ let repair_homed sys p =
             match acc with
             | None -> Some c
             | Some b ->
-                let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
-                let bm = Protocol.meta sys.states.(b) ~nprocs:sys.nprocs page in
+                let cm = Protocol.meta sys.states.(c) page in
+                let bm = Protocol.meta sys.states.(b) page in
                 if
                   Wmap.exists_gt cm.applied bm.applied
                   && Wmap.dominates cm.applied bm.applied
@@ -236,11 +236,11 @@ let repair_homed sys p =
       match best with
       | None -> ()  (* nobody else homes it; the lost mark forces a refetch *)
       | Some c ->
-          let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
+          let cm = Protocol.meta sys.states.(c) page in
           let cpg = Page_table.get sys.states.(c).pt page in
           let pg = Page_table.get st.pt page in
           Bytes.blit cpg.Page_table.data 0 pg.Page_table.data 0 sys.page_size;
-          let m = Protocol.meta st ~nprocs:sys.nprocs page in
+          let m = Protocol.meta st page in
           List.iter
             (fun q ->
               let cv = Wmap.get cm.applied q in

@@ -79,9 +79,7 @@ let detect_bcast sys ~epoch ~departure_clock entries =
               (fun (r, _) ->
                 List.iter
                   (fun page ->
-                    let m =
-                      Protocol.meta sys.states.(r) ~nprocs:sys.nprocs page
-                    in
+                    let m = Protocol.meta sys.states.(r) page in
                     for q = 0 to sys.nprocs - 1 do
                       if
                         q <> r
@@ -94,7 +92,6 @@ let detect_bcast sys ~epoch ~departure_clock entries =
               entries;
             match !writers with
             | [ q ] when not (List.mem q requesters) ->
-                let cfg = sys.cluster.Cluster.cfg in
                 (* the minimum applied watermark among the requesters
                    determines how much history the broadcast must carry *)
                 let bytes =
@@ -104,10 +101,7 @@ let detect_bcast sys ~epoch ~departure_clock entries =
                       let after =
                         List.fold_left
                           (fun acc (r, _) ->
-                            let m =
-                              Protocol.meta sys.states.(r) ~nprocs:sys.nprocs
-                                page
-                            in
+                            let m = Protocol.meta sys.states.(r) page in
                             min acc (Wmap.get m.applied q))
                           max_int entries
                       in
@@ -118,18 +112,13 @@ let detect_bcast sys ~epoch ~departure_clock entries =
                       acc + f.Diff_store.charge_bytes)
                     0 pages
                 in
-                let per_hop =
-                  cfg.Config.msg_overhead_us
-                  +. (cfg.Config.per_byte_us *. float_of_int bytes)
-                  +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
-                in
                 Some
                   ( epoch,
                     {
                       bp_src = q;
                       bp_pages = pages;
                       bp_base = departure_clock;
-                      bp_per_hop = per_hop;
+                      bp_per_hop = Cluster.bcast_per_hop sys.cluster ~bytes;
                       bp_requesters = requesters;
                       bp_bytes = bytes;
                     } )
@@ -156,17 +145,9 @@ let handle_wsync_at_barrier sys p ~epoch ~departure_clock ~my_reqs =
   (match b.bcast_plan with
   | Some (e, plan) when e = epoch && plan.bp_src = p ->
       let bytes = plan.bp_bytes in
-      let pstats = sys.cluster.Cluster.stats.(p) in
-      pstats.Stats.messages <- pstats.Stats.messages + (sys.nprocs - 1);
-      pstats.Stats.bytes <- pstats.Stats.bytes + (bytes * (sys.nprocs - 1));
-      pstats.Stats.broadcasts <- pstats.Stats.broadcasts + 1;
-      let hops =
-        if cfg.Config.bcast_log_tree then
-          int_of_float (ceil (log (float_of_int sys.nprocs) /. log 2.0))
-        else sys.nprocs - 1
-      in
+      Cluster.count_bcast sys.cluster p ~bytes;
       Cluster.charge sys.cluster p
-        (float_of_int hops
+        (float_of_int (Cluster.bcast_hops sys.cluster)
         *. (cfg.Config.msg_overhead_us
            +. (cfg.Config.per_byte_us *. float_of_int bytes)));
       if sys.trace <> None then
@@ -229,16 +210,9 @@ let handle_wsync_at_barrier sys p ~epoch ~departure_clock ~my_reqs =
                 0 reqs
             in
             if bytes > 0 then begin
-              let qstats = sys.cluster.Cluster.stats.(q) in
-              qstats.Stats.messages <- qstats.Stats.messages + 1;
-              qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
-              Cluster.charge sys.cluster q
-                (cfg.Config.msg_overhead_us
-                +. (cfg.Config.per_byte_us *. float_of_int bytes));
               let arrival =
-                departure_clock
-                +. (cfg.Config.per_byte_us *. float_of_int bytes)
-                +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+                Cluster.reply sys.cluster ~src:q ~dst:p ~at:departure_clock
+                  ~bytes
               in
               List.iter
                 (fun (page, _, _) ->
@@ -343,11 +317,8 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
       done;
       !sum
     in
-    let mstats = sys.cluster.Cluster.stats.(0) in
-    mstats.Stats.messages <- mstats.Stats.messages + (sys.nprocs - 1);
-    mstats.Stats.bytes <-
-      mstats.Stats.bytes
-      + ((sys.nprocs - 1) * cfg.Config.notice_bytes * total_new);
+    Cluster.count sys.cluster 0 ~msgs:(sys.nprocs - 1)
+      ~bytes:((sys.nprocs - 1) * cfg.Config.notice_bytes * total_new);
     let dvc = Vc.create sys.nprocs in
     Array.iter (fun stq -> Vc.merge dvc stq.vc) sys.states;
     b.departure_vc <- dvc;
@@ -373,7 +344,7 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
   let rolled = ref [] in
   List.iter
     (fun (page, writer, seq) ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       if Wmap.get m.applied writer = seq then begin
         if sys.trace <> None then
           Protocol.emit sys p
@@ -466,9 +437,7 @@ let lock_acquire_with ~answer_wsync t lid =
   let arrival =
     if manager <> lk.last_releaser && manager <> p then begin
       (* the manager forwards the request to the current owner *)
-      let mstats = sys.cluster.Cluster.stats.(manager) in
-      mstats.Stats.messages <- mstats.Stats.messages + 1;
-      mstats.Stats.bytes <- mstats.Stats.bytes + req_bytes;
+      Cluster.count sys.cluster manager ~msgs:1 ~bytes:req_bytes;
       Cluster.charge sys.cluster manager
         (cfg.Config.interrupt_us +. (2.0 *. cfg.Config.msg_overhead_us));
       arrival
@@ -504,14 +473,12 @@ let lock_acquire_with ~answer_wsync t lid =
       Cluster.charge sys.cluster grantor
         (cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
        +. cfg.Config.lock_service_us);
-      let gstats = sys.cluster.Cluster.stats.(grantor) in
-      gstats.Stats.messages <- gstats.Stats.messages + 1;
       Cluster.sync_clock sys.cluster p
         (grant_ready +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us);
       let upto = match lk.release_vc with Some v -> v | None -> st.vc in
       let ncount = Protocol.pull_notices sys p ~upto in
       let grant_bytes = 16 + (cfg.Config.notice_bytes * ncount) in
-      gstats.Stats.bytes <- gstats.Stats.bytes + grant_bytes;
+      Cluster.count sys.cluster grantor ~msgs:1 ~bytes:grant_bytes;
       Cluster.charge sys.cluster p
         (cfg.Config.per_byte_us *. float_of_int grant_bytes);
       ncount

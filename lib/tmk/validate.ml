@@ -249,7 +249,7 @@ let push_with ~release ?(is_inval = fun _ -> false)
                   (Range.covers !pushed_ranges ~lo:(page * sys.page_size)
                      ~hi:((page + 1) * sys.page_size))
             else begin
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
+            let m = Protocol.meta st page in
             if msg.pm_seq > Wmap.get m.applied i then begin
               Wmap.set m.applied i msg.pm_seq;
               if msg.pm_seq > Wmap.get m.known i then

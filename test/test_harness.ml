@@ -96,8 +96,37 @@ let test_determinism () =
   Alcotest.(check int) "same bytes" r1.stats.Dsm_sim.Stats.bytes
     r2.stats.Dsm_sim.Stats.bytes
 
+(* Every option's doc string must be valid cmdliner markup: an illegal
+   escape is reported on the error formatter and drops characters from the
+   rendered help. *)
+let test_cli_help_renders () =
+  let help = Buffer.create 4096
+  and err = Buffer.create 256 in
+  let help_fmt = Format.formatter_of_buffer help
+  and err_fmt = Format.formatter_of_buffer err in
+  let cmd =
+    Cmdliner.Cmd.v (Cmdliner.Cmd.info "dsm")
+      Cmdliner.Term.(const ignore $ Dsm_harness.Cli.term)
+  in
+  ignore
+    (Cmdliner.Cmd.eval_value ~help:help_fmt ~err:err_fmt
+       ~argv:[| "dsm"; "--help=plain" |] cmd);
+  Format.pp_print_flush help_fmt ();
+  Format.pp_print_flush err_fmt ();
+  Alcotest.(check string) "no cmdliner error" "" (Buffer.contents err);
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "crash schedule shown as P@T+D" true
+    (contains (Buffer.contents help) "P@T+D[,P@T+D...]")
+
 let tests =
   [
+    Alcotest.test_case "cli help renders" `Quick test_cli_help_renders;
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

@@ -86,6 +86,75 @@ let test_rpc_queueing () =
   Alcotest.(check bool) "past request not delayed" true
     (Cluster.time c2 1 < 1000.0)
 
+let test_reply () =
+  let c = Cluster.create cfg in
+  Cluster.charge c 1 500.0;
+  let arrival = Cluster.reply c ~src:1 ~dst:0 ~at:1000.0 ~bytes:100 in
+  let send_cpu = cfg.Config.msg_overhead_us +. (0.03 *. 100.0) in
+  (* the responder pays the send overhead; the answer leaves at [at], not
+     at the responder's own clock *)
+  Alcotest.(check (float 0.001)) "responder charged" (500.0 +. send_cpu)
+    (Cluster.time c 1);
+  Alcotest.(check (float 0.001))
+    "arrival = at + wire bytes + latency + receive overhead"
+    (1000.0 +. (0.03 *. 100.0) +. cfg.Config.wire_latency_us
+    +. cfg.Config.msg_overhead_us)
+    arrival;
+  Alcotest.(check (float 0.001)) "receiver clock untouched" 0.0
+    (Cluster.time c 0);
+  Alcotest.(check int) "message counted at responder" 1
+    c.Cluster.stats.(1).Dsm_sim.Stats.messages;
+  Alcotest.(check int) "bytes counted at responder" 100
+    c.Cluster.stats.(1).Dsm_sim.Stats.bytes;
+  Alcotest.(check int) "nothing counted at receiver" 0
+    c.Cluster.stats.(0).Dsm_sim.Stats.messages
+
+let test_serve () =
+  let c = Cluster.create cfg in
+  let alpha = cfg.Config.wire_latency_us in
+  let a1 = Cluster.serve c ~dst:2 ~arrival:100.0 ~handler_time:50.0 ~bytes:16 in
+  Alcotest.(check (float 0.001)) "answer = start + handler + latency"
+    (100.0 +. 50.0 +. alpha) a1;
+  Alcotest.(check (float 0.001)) "handler time charged" 50.0 (Cluster.time c 2);
+  (* a second request inside the busy period waits for the first *)
+  let a2 = Cluster.serve c ~dst:2 ~arrival:120.0 ~handler_time:50.0 ~bytes:16 in
+  Alcotest.(check (float 0.001)) "serialized behind occupancy"
+    (150.0 +. 50.0 +. alpha) a2;
+  Alcotest.(check int) "one answer per request" 2
+    c.Cluster.stats.(2).Dsm_sim.Stats.messages;
+  Alcotest.(check int) "answer bytes" 32
+    c.Cluster.stats.(2).Dsm_sim.Stats.bytes;
+  (* without hot-spot queueing every request starts on arrival *)
+  let c' =
+    Cluster.create { cfg with Config.enable_hotspot_queueing = false }
+  in
+  ignore (Cluster.serve c' ~dst:2 ~arrival:100.0 ~handler_time:50.0 ~bytes:16);
+  Alcotest.(check (float 0.001)) "no queueing when disabled"
+    (120.0 +. 50.0 +. alpha)
+    (Cluster.serve c' ~dst:2 ~arrival:120.0 ~handler_time:50.0 ~bytes:16)
+
+let test_rpc_is_request_plus_serve () =
+  (* an rpc is a request leg followed by [serve] with [handler_time] *)
+  let service = 40.0 and req_bytes = 64 and resp_bytes = 4096 in
+  let c = Cluster.create cfg in
+  Cluster.rpc c ~src:0 ~dst:1 ~req_bytes ~resp_bytes ~service;
+  let c' = Cluster.create cfg in
+  let arrival = Cluster.send c' ~src:0 ~dst:1 ~bytes:req_bytes in
+  let answer =
+    Cluster.serve c' ~dst:1 ~arrival
+      ~handler_time:(Cluster.handler_time c' ~service ~resp_bytes)
+      ~bytes:resp_bytes
+  in
+  Alcotest.(check (float 0.001)) "requester clock"
+    (answer +. cfg.Config.msg_overhead_us)
+    (Cluster.time c 0);
+  Alcotest.(check (float 0.001)) "target clock" (Cluster.time c' 1)
+    (Cluster.time c 1);
+  Alcotest.(check int) "request counted" 1
+    c.Cluster.stats.(0).Dsm_sim.Stats.messages;
+  Alcotest.(check int) "answer bytes counted at target" resp_bytes
+    c.Cluster.stats.(1).Dsm_sim.Stats.bytes
+
 let test_occupy () =
   let c = Cluster.create cfg in
   let s1 = Cluster.occupy c 3 ~arrival:100.0 ~handler_time:50.0 in
@@ -174,7 +243,15 @@ let test_bcast () =
   ignore (Cluster.bcast c ~src:0 ~bytes:100);
   Alcotest.(check int) "n-1 messages"
     (cfg.Config.nprocs - 1)
-    c.Cluster.stats.(0).Dsm_sim.Stats.messages
+    c.Cluster.stats.(0).Dsm_sim.Stats.messages;
+  Alcotest.(check int) "n-1 copies of the payload"
+    (100 * (cfg.Config.nprocs - 1))
+    c.Cluster.stats.(0).Dsm_sim.Stats.bytes;
+  Alcotest.(check int) "one broadcast" 1
+    c.Cluster.stats.(0).Dsm_sim.Stats.broadcasts;
+  Alcotest.(check (float 0.001)) "root pays hops x per-hop"
+    (float_of_int (Cluster.bcast_hops c) *. Cluster.bcast_per_hop c ~bytes:100)
+    (Cluster.time c 0)
 
 let test_vc () =
   let a = Vc.create 4
@@ -206,6 +283,10 @@ let tests =
     Alcotest.test_case "send cost" `Quick test_send_cost;
     Alcotest.test_case "rpc roundtrip = 365us" `Quick test_rpc_roundtrip;
     Alcotest.test_case "rpc queueing" `Quick test_rpc_queueing;
+    Alcotest.test_case "reply" `Quick test_reply;
+    Alcotest.test_case "serve" `Quick test_serve;
+    Alcotest.test_case "rpc = request + serve" `Quick
+      test_rpc_is_request_plus_serve;
     Alcotest.test_case "occupy" `Quick test_occupy;
     Alcotest.test_case "occupy: hot-spot serialization" `Quick
       test_occupy_hotspot_serialization;
