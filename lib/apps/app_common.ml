@@ -56,6 +56,11 @@ let make_result ~time_us ~stats ~max_err ?(digest = "") ?(homes = [])
     ?(classes = []) ?latencies_us ?(nops = 0) () =
   { time_us; stats; max_err; digest; homes; classes; latencies_us; nops }
 
+let block ~lo ~hi nprocs p =
+  let w = (hi - lo + nprocs) / nprocs in
+  let b = min (hi + 1) (lo + (p * w)) in
+  (b, min hi (b + w - 1))
+
 let combine_err a b = Float.max a (abs_float b)
 
 (* Memoization of each app's sequential reference solution; the tables

@@ -68,6 +68,13 @@ val make_result :
 
 val combine_err : float -> float -> float
 
+val block : lo:int -> hi:int -> int -> int -> int * int
+(** [block ~lo ~hi nprocs p] — processor [p]'s inclusive slice of
+    [lo .. hi] under a block partition of width [ceil (count / nprocs)].
+    With more processors than elements the tail processors get an empty
+    slice [(hi + 1, hi)], so a slice's width [hi - lo + 1] is never
+    negative. *)
+
 val memo : ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
 (** [memo tbl key compute] returns the cached value for [key], computing
     and caching it otherwise. Used for the apps' sequential reference

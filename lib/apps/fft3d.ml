@@ -89,9 +89,7 @@ let fft_inplace re im =
   done
 
 (* slab bounds along one dimension *)
-let bounds n nprocs p =
-  let w = (n + nprocs - 1) / nprocs in
-  (p * w, min (n - 1) (((p + 1) * w) - 1))
+let bounds n nprocs p = block ~lo:0 ~hi:(n - 1) nprocs p
 
 (* {1 Sequential reference}
 

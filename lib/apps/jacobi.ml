@@ -28,16 +28,9 @@ let levels = [ Base; Comm_aggr; Cons_elim; Sync_merge; Push_opt ]
 
 let init_value i j = float_of_int (((i * 31) + (j * 17)) mod 1000) /. 100.0
 
-(* Block partition of the interior columns [1 .. m-2]. With more
-   processors than interior columns the tail processors get an empty range
-   (hi = lo - 1); [lo] is clamped so the range stays within the array and
-   the last processor still owns the static boundary column. *)
-let bounds m nprocs p =
-  let count = m - 2 in
-  let w = (count + nprocs - 1) / nprocs in
-  let lo = min (m - 1) (1 + (p * w)) in
-  let hi = min (m - 2) (lo + w - 1) in
-  (lo, hi)
+(* Block partition of the interior columns [1 .. m-2]; the edge
+   processors also own the static boundary columns 0 and m-1. *)
+let bounds m nprocs p = block ~lo:1 ~hi:(m - 2) nprocs p
 
 (* {1 Sequential reference} *)
 

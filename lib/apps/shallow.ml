@@ -210,9 +210,7 @@ let seq_time_us { m; n; steps; point_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let bounds n nprocs p =
-  let w = (n + nprocs - 1) / nprocs in
-  (p * w, min (n - 1) (((p + 1) * w) - 1))
+let bounds n nprocs p = block ~lo:0 ~hi:(n - 1) nprocs p
 
 let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as prm) ~level ~async =
   let sys = Tmk.make ?plan cfg in

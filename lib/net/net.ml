@@ -81,9 +81,9 @@ type t = {
       (* per-flow (src,dst) resequencing floor: in-order delivery *)
   mutable trace : Sink.t option;
   mutable vc_of : int -> int array;
-      (* vector-clock snapshot provider for emitted events; the DSM
-         run-time points this at its per-processor vector clocks so net
-         events satisfy the checker's vc rules *)
+      (* vector clock stamped on emitted events; the DSM run-time points
+         this at its live per-processor vector clocks so net events
+         satisfy the checker's vc rules *)
 }
 
 let create ?plan cluster =

@@ -37,9 +37,10 @@ val set_trace : t -> Dsm_trace.Sink.t option -> unit
     [Retransmit]/[Timeout_fire]/[Ack] events. *)
 
 val set_vc_source : t -> (int -> int array) -> unit
-(** Provide per-processor vector-clock snapshots for emitted events (the
-    DSM run-time points this at its protocol vector clocks so net events
-    satisfy the checker's vc rules). Defaults to all-zero clocks. *)
+(** Provide the per-processor vector clocks stamped on emitted events (the
+    DSM run-time points this at its live protocol vector clocks, which the
+    sink snapshots, so net events satisfy the checker's vc rules).
+    Defaults to all-zero clocks. *)
 
 val send : t -> src:int -> dst:int -> bytes:int -> float
 (** Reliable one-way message of [bytes] payload bytes; returns the

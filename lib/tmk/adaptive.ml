@@ -181,9 +181,10 @@ let switch sys page a ~to_ ~owner:o ~epoch =
       Hashtbl.replace sys.iv_dir page
         { iv_owner = src; iv_excl = false; iv_sharers = [ src ] };
       for q = 0 to sys.nprocs - 1 do
-        let pg = Page_table.get sys.states.(q).pt page in
-        pg.Page_table.prot <-
-          (if q = src then Page_table.Read_only else Page_table.No_access)
+        let pt = sys.states.(q).pt in
+        if q = src then
+          (Page_table.get pt page).Page_table.prot <- Page_table.Read_only
+        else ignore (Page_table.invalidate pt page)
       done
   | P_lrc | P_hlrc ->
       (* distribute the current copy to every processor — exact at

@@ -48,8 +48,7 @@ let entry sys page =
   | None ->
       let d = dir_of sys page in
       for q = 0 to sys.nprocs - 1 do
-        let pg = Page_table.get sys.states.(q).pt page in
-        if q <> d then pg.Page_table.prot <- Page_table.No_access
+        if q <> d then ignore (Page_table.invalidate sys.states.(q).pt page)
       done;
       let e = { iv_owner = d; iv_excl = false; iv_sharers = [ d ] } in
       Hashtbl.replace sys.iv_dir page e;
@@ -144,8 +143,7 @@ let ensure_excl sys p page =
             if sys.trace <> None then
               Protocol.emit sys d (Dsm_trace.Event.Inval_send { page; dst = q });
             let arrival = Net.send sys.net ~src:d ~dst:q ~bytes:16 in
-            let qpg = Page_table.get sys.states.(q).pt page in
-            qpg.Page_table.prot <- Page_table.No_access;
+            ignore (Page_table.invalidate sys.states.(q).pt page);
             (* the victim's handler drops the copy and acks to the writer *)
             let ack =
               Cluster.serve sys.cluster ~dst:q ~arrival

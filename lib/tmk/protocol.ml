@@ -17,16 +17,15 @@ let debug = Sys.getenv_opt "DSM_DEBUG" <> None
 
 (* Trace emission. Call sites guard with [sys.trace <> None] BEFORE
    building the event payload, so a disabled trace allocates nothing.
-   Emission reads the clock and vector clock but never charges: tracing
-   cannot perturb the cost model. *)
+   Emission reads the clock and the live vector clock (the sink snapshots
+   it) but never charges: tracing cannot perturb the cost model. *)
 let emit sys p kind =
   match sys.trace with
   | None -> ()
   | Some sink ->
       Dsm_trace.Sink.emit sink ~proc:p
         ~time:(Cluster.time sys.cluster p)
-        ~vc:(Vc.copy sys.states.(p).vc)
-        kind
+        ~vc:sys.states.(p).vc kind
 
 (* The current interval's write set, as a sorted page list (dirty is a
    hash set; every consumer needs a deterministic order). *)
@@ -312,11 +311,8 @@ let apply_notice sys p ~writer ~seq ~pages =
                  m.ob_stale <- Pset.union m.ob_stale slots);
           if m.lazy_hi > 0 then
             Cluster.charge sys.cluster p (materialize sys ~writer:p ~page);
-          let pg = Page_table.get st.pt page in
-          if pg.Page_table.prot <> Page_table.No_access then begin
-            pg.Page_table.prot <- Page_table.No_access;
+          if Page_table.invalidate st.pt page then
             invalidated := page :: !invalidated
-          end
         end;
         if sys.trace <> None then
           emit sys p
@@ -326,8 +322,7 @@ let apply_notice sys p ~writer ~seq ~pages =
                  seq;
                  page;
                  invalidated =
-                   (Page_table.get st.pt page).Page_table.prot
-                   = Page_table.No_access;
+                   Page_table.prot st.pt page = Page_table.No_access;
                }))
       pages;
     if !invalidated <> [] then protect_runs sys p !invalidated
@@ -775,7 +770,7 @@ let split_unfaultable sys p pages =
     List.partition
       (fun page ->
         (not (Hashtbl.mem sys.obj_regions page))
-        || (Page_table.get st.pt page).Page_table.prot = Page_table.No_access)
+        || Page_table.prot st.pt page = Page_table.No_access)
       pages
 
 (* Asynchronous Fetch_diffs: send the requests now, continue computing; the

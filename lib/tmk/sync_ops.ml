@@ -357,11 +357,8 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
            match Hashtbl.find_opt sys.obj_regions page with
            | None -> ()
            | Some osz -> m.ob_stale <- Protocol.obj_all_slots sys osz);
-        let pg = Dsm_mem.Page_table.get st.pt page in
-        if pg.Dsm_mem.Page_table.prot <> Dsm_mem.Page_table.No_access then begin
-          pg.Dsm_mem.Page_table.prot <- Dsm_mem.Page_table.No_access;
+        if Dsm_mem.Page_table.invalidate st.pt page then
           rolled := page :: !rolled
-        end
       end)
     st.partial_push;
   st.partial_push <- [];

@@ -100,8 +100,7 @@ let make ?plan cfg =
   in
   (* net events carry the emitting processor's protocol vector clock, so
      they satisfy the checker's vc rules like any other protocol event *)
-  Dsm_net.Net.set_vc_source net (fun p ->
-      Vc.copy sys.Types.states.(p).Types.vc);
+  Dsm_net.Net.set_vc_source net (fun p -> sys.Types.states.(p).Types.vc);
   sys
 
 (* {1 Static plan seeding}
@@ -134,9 +133,10 @@ let seed_plan sys (pl : Proto_plan.t) =
     Hashtbl.replace sys.Types.iv_dir page
       { Types.iv_owner = owner; iv_excl = false; iv_sharers = [ owner ] };
     for q = 0 to sys.Types.nprocs - 1 do
-      let pg = Page_table.get sys.Types.states.(q).Types.pt page in
-      pg.Page_table.prot <-
-        (if q = owner then Page_table.Read_only else Page_table.No_access)
+      let pt = sys.Types.states.(q).Types.pt in
+      if q = owner then
+        (Page_table.get pt page).Page_table.prot <- Page_table.Read_only
+      else ignore (Page_table.invalidate pt page)
     done
   in
   List.iter
@@ -321,11 +321,8 @@ let digest sys =
       (fun page (_ : int) ->
         match Hashtbl.find_opt st0.Types.meta page with
         | Some m when not (Pset.is_empty m.Types.ob_stale) ->
-            let pg = Page_table.get st0.Types.pt page in
-            if pg.Page_table.prot <> Page_table.No_access then begin
-              pg.Page_table.prot <- Page_table.No_access;
+            if Page_table.invalidate st0.Types.pt page then
               forced := page :: !forced
-            end
         | _ -> ())
       sys.Types.obj_regions;
     if !forced <> [] then Protocol.protect_runs sys 0 !forced

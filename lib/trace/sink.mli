@@ -12,15 +12,18 @@ val default_capacity : int
 (** 262144 events per processor. *)
 
 val create : ?capacity:int -> nprocs:int -> unit -> t
-(** One ring of [capacity] events per processor; the oldest events are
-    dropped on overflow (see {!dropped}). *)
+(** One ring of at most [capacity] events per processor, grown on demand;
+    the oldest events are dropped on overflow (see {!dropped}). *)
 
 val nprocs : t -> int
 val capacity : t -> int
 
 val emit : t -> proc:int -> time:float -> vc:int array -> Event.kind -> unit
 (** Append an event to [proc]'s ring, stamping it with the next global
-    emission id. [vc] is captured by reference: pass a fresh copy. *)
+    emission id. [vc] is read, not captured: pass the live vector clock.
+    The event holds a snapshot of it, shared with [proc]'s previous event
+    when the clock has not changed since; snapshots are never mutated, so
+    consumers must not mutate an event's [vc] either. *)
 
 val emitted : t -> int
 (** Total events emitted, including dropped ones. *)
@@ -36,8 +39,11 @@ val dropped_of : t -> int -> int
 val proc_events : t -> int -> Event.t list
 (** Surviving events of one processor, oldest first. *)
 
+val iter : (Event.t -> unit) -> t -> unit
+(** Visit all surviving events in global emission order. *)
+
 val events : t -> Event.t list
-(** All surviving events in global emission order. *)
+(** All surviving events in global emission order, as a list. *)
 
 val clear : t -> unit
 

@@ -162,6 +162,48 @@ let test_page_table () =
   Page_table.drop_twin pg;
   Alcotest.(check bool) "twin dropped" true (pg.Page_table.twin = None)
 
+(* Invalidating an untouched page records its protection only; the page
+   appears, zeroed and [No_access], when something first reaches it. *)
+let test_page_table_lazy_invalidate () =
+  let pt = Page_table.create ~page_size:128 in
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  let (), base = words (fun () -> ()) in
+  let changed, w = words (fun () -> Page_table.invalidate pt 7) in
+  Alcotest.(check bool) "first invalidate changes prot" true changed;
+  Alcotest.(check (float 0.0)) "allocates nothing" base w;
+  Alcotest.(check int) "no page resident" 0 (Page_table.resident pt);
+  Alcotest.(check bool) "prot reads No_access" true
+    (Page_table.prot pt 7 = Page_table.No_access);
+  Alcotest.(check bool) "untouched prot reads Read_only" true
+    (Page_table.prot pt 8 = Page_table.Read_only);
+  Alcotest.(check bool) "second invalidate is a no-op" false
+    (Page_table.invalidate pt 7);
+  Alcotest.(check bool) "find materializes it" true
+    (match Page_table.find pt 7 with
+    | Some pg ->
+        pg.Page_table.prot = Page_table.No_access
+        && Bytes.for_all (fun c -> c = '\000') pg.Page_table.data
+    | None -> false);
+  Alcotest.(check int) "now resident" 1 (Page_table.resident pt);
+  Alcotest.(check bool) "find still misses untouched pages" true
+    (Page_table.find pt 8 = None);
+  (* [get] past the initial capacity; then a mapped page *)
+  ignore (Page_table.invalidate pt 1000);
+  let pg = Page_table.get pt 1000 in
+  Alcotest.(check bool) "get yields zeroed No_access" true
+    (pg.Page_table.prot = Page_table.No_access
+    && Bytes.for_all (fun c -> c = '\000') pg.Page_table.data);
+  pg.Page_table.prot <- Page_table.Read_write;
+  Alcotest.(check bool) "mapped page invalidates" true
+    (Page_table.invalidate pt 1000);
+  Alcotest.(check bool) "same record" true
+    (Page_table.get pt 1000 == pg && pg.Page_table.prot = Page_table.No_access);
+  Alcotest.(check bool) "then no-op" false (Page_table.invalidate pt 1000)
+
 let tests =
   [
     Alcotest.test_case "diff roundtrip" `Quick test_diff_roundtrip;
@@ -176,3 +218,7 @@ let tests =
     Alcotest.test_case "page table" `Quick test_page_table;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ qcheck_diff; qcheck_merge ]
+  @ [
+      Alcotest.test_case "page table: lazy invalidation" `Quick
+        test_page_table_lazy_invalidate;
+    ]

@@ -408,6 +408,50 @@ let test_lock_mutual_exclusion () =
       done);
   Alcotest.(check int) "never two holders" 1 !max_inside
 
+(* Write notices invalidate every remote column on every processor, but
+   a processor only holds the pages it touched: a checked 64-processor
+   Jacobi-pattern run (own column block written, neighbour columns read)
+   keeps invalidated pages it never reads out of memory. *)
+let test_invalidation_allocates_no_pages () =
+  let np = 64 and m = 512 in
+  let sys =
+    Tmk.make { Config.default with Config.nprocs = np; backend = Config.Hlrc }
+  in
+  let b = Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ m; m ] in
+  let sink = Dsm_trace.Sink.create ~nprocs:np () in
+  Tmk.run ~trace:sink sys (fun t ->
+      let p = Tmk.pid t in
+      let lo, hi = Dsm_apps.Jacobi.bounds m np p in
+      let col = Array.make m 0.0 in
+      for it = 1 to 3 do
+        for j = lo to hi do
+          Shm.F64_2.read_col t b (j - 1) ~lo:0 ~hi:(m - 1) col;
+          Shm.F64_2.read_col t b (j + 1) ~lo:0 ~hi:(m - 1) col
+        done;
+        Tmk.barrier t;
+        Array.fill col 0 m (float_of_int (it + p));
+        for j = lo to hi do
+          Shm.F64_2.write_col t b j ~lo:0 ~hi:(m - 1) col
+        done;
+        Tmk.barrier t
+      done);
+  Alcotest.(check int) "checker: no violations" 0
+    (List.length (Dsm_trace.Check.run_sink sink));
+  let npages = Dsm_mem.Addr_space.n_pages sys.Dsm_tmk.Types.space in
+  Array.iteri
+    (fun p st ->
+      let pt = st.Dsm_tmk.Types.pt in
+      let invalid = ref 0 in
+      for page = 0 to npages - 1 do
+        if Dsm_mem.Page_table.prot pt page = Dsm_mem.Page_table.No_access
+        then incr invalid
+      done;
+      if !invalid < npages / 2 || Dsm_mem.Page_table.resident pt > npages / 16
+      then
+        Alcotest.failf "p%d: %d of %d pages invalid, %d resident" p !invalid
+          npages (Dsm_mem.Page_table.resident pt))
+    sys.Dsm_tmk.Types.states
+
 let tests =
   [
     Alcotest.test_case "barrier propagation" `Quick test_barrier_propagation;
@@ -436,4 +480,6 @@ let tests =
     Alcotest.test_case "calibration (lock, barrier)" `Quick
       test_calibration_via_runtime;
     Alcotest.test_case "lock mutual exclusion" `Quick test_lock_mutual_exclusion;
+    Alcotest.test_case "invalidation allocates no pages" `Quick
+      test_invalidation_allocates_no_pages;
   ]

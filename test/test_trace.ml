@@ -188,6 +188,156 @@ let test_sink_jsonl () =
       Alcotest.(check bool) "event name serialized" true
         (contains (List.hd lines) "\"ev\":\"notice_send\""))
 
+(* The sink reads the live vector clock: later mutation of the caller's
+   array never reaches a stored event, and a processor's consecutive
+   events with equal clocks share one snapshot. *)
+let test_sink_vc_snapshots () =
+  let s = Sink.create ~nprocs:2 () in
+  let vc = [| 0; 0 |] in
+  Sink.emit s ~proc:0 ~time:0.0 ~vc dummy_kind;
+  vc.(0) <- 1;
+  Sink.emit s ~proc:0 ~time:1.0 ~vc dummy_kind;
+  Sink.emit s ~proc:0 ~time:2.0 ~vc:(Array.copy vc) dummy_kind;
+  Sink.emit s ~proc:1 ~time:3.0 ~vc dummy_kind;
+  vc.(1) <- 5;
+  Sink.emit s ~proc:0 ~time:4.0 ~vc dummy_kind;
+  match List.map (fun (e : Event.t) -> e.vc) (Sink.events s) with
+  | [ v0; v1; v2; v3; v4 ] ->
+      Alcotest.(check (array int)) "first event unchanged" [| 0; 0 |] v0;
+      Alcotest.(check (array int)) "second event" [| 1; 0 |] v1;
+      Alcotest.(check bool) "equal consecutive vcs shared" true (v1 == v2);
+      Alcotest.(check bool) "snapshot, not the live array" true (v1 != vc);
+      Alcotest.(check (array int)) "other processor" [| 1; 0 |] v3;
+      Alcotest.(check (array int)) "changed vc copied" [| 1; 5 |] v4;
+      Alcotest.(check (array int)) "earlier snapshot kept" [| 1; 0 |] v2
+  | l -> Alcotest.failf "%d events" (List.length l)
+
+(* Rings grow on demand, then wrap at [capacity] (power of two or not):
+   each processor keeps its newest [capacity] events, and [iter] and
+   [events] merge them in id order. *)
+let test_sink_growth () =
+  List.iter
+    (fun capacity ->
+      let counts = [| 0; 7; 250; 33 |] in
+      let s = Sink.create ~capacity ~nprocs:4 () in
+      let ids = Array.make 4 [] and next = ref 0 in
+      for i = 0 to 249 do
+        Array.iteri
+          (fun p n ->
+            if i < n then begin
+              Sink.emit s ~proc:p ~time:(float_of_int !next) ~vc:[| i |]
+                dummy_kind;
+              ids.(p) <- !next :: ids.(p);
+              incr next
+            end)
+          counts
+      done;
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      let kept p =
+        List.filteri (fun i _ -> i < capacity) ids.(p) |> List.rev
+      in
+      let id_of (e : Event.t) =
+        Alcotest.(check (float 0.0)) (name "payload") (float_of_int e.id)
+          e.time;
+        e.id
+      in
+      Alcotest.(check int) (name "emitted") 290 (Sink.emitted s);
+      Array.iteri
+        (fun p n ->
+          Alcotest.(check int) (name "dropped_of")
+            (max 0 (n - capacity)) (Sink.dropped_of s p);
+          Alcotest.(check (list int)) (name "proc_events") (kept p)
+            (List.map id_of (Sink.proc_events s p)))
+        counts;
+      let all = List.sort compare (List.concat_map kept [ 0; 1; 2; 3 ]) in
+      Alcotest.(check (list int)) (name "events") all
+        (List.map id_of (Sink.events s));
+      let visited = ref [] in
+      Sink.iter (fun e -> visited := e.id :: !visited) s;
+      Alcotest.(check (list int)) (name "iter") all (List.rev !visited))
+    [ 1; 3; 4; 5; 16; 100; 256; 1000 ]
+
+(* The checker over a sink consumes the events in place; it must report
+   exactly what the replay of the event list reports. *)
+let test_run_sink_is_replay () =
+  let agree name ~nprocs sink =
+    let dropped, rest =
+      List.partition
+        (fun (v : Check.violation) -> v.rule = "trace-dropped")
+        (Check.run_sink sink)
+    in
+    Alcotest.(check int) (name ^ ": trace-dropped iff overflow")
+      (if Sink.dropped sink > 0 then 1 else 0)
+      (List.length dropped);
+    Alcotest.(check bool) (name ^ ": run_sink = run events") true
+      (rest = Check.run ~nprocs (Sink.events sink))
+  in
+  let kernels =
+    [
+      ("jacobi", fun ?trace cfg ->
+          Dsm_apps.Jacobi.run_tmk ?trace cfg jacobi_prm ~level:Push_opt
+            ~async:true);
+      ("shallow", fun ?trace cfg ->
+          Dsm_apps.Shallow.run_tmk ?trace cfg shallow_prm ~level:Cons_elim
+            ~async:true);
+      ("gauss", fun ?trace cfg ->
+          Dsm_apps.Gauss.run_tmk ?trace cfg gauss_prm ~level:Base ~async:true);
+      ("mgs", fun ?trace cfg ->
+          Dsm_apps.Mgs.run_tmk ?trace cfg mgs_prm ~level:Push_opt ~async:true);
+      ("fft3d", fun ?trace cfg ->
+          Dsm_apps.Fft3d.run_tmk ?trace cfg fft3d_prm ~level:Base ~async:true);
+      ("is", fun ?trace cfg ->
+          Dsm_apps.Is.run_tmk ?trace cfg is_prm ~level:Comm_aggr ~async:true);
+    ]
+  in
+  let run name ?capacity cfg kernel =
+    let nprocs = cfg.Config.nprocs in
+    let sink = Sink.create ?capacity ~nprocs () in
+    ignore (kernel ?trace:(Some sink) cfg);
+    agree name ~nprocs sink
+  in
+  List.iter
+    (fun (app, kernel) ->
+      List.iter
+        (fun (bname, backend) ->
+          run (app ^ "/" ^ bname) { (cfg_n 4) with Config.backend } kernel)
+        [
+          ("lrc", Config.Lrc);
+          ("hlrc", Config.Hlrc);
+          ("inval", Config.Inval);
+          ("adaptive", Config.Adaptive);
+        ])
+    kernels;
+  let jacobi = List.assoc "jacobi" kernels in
+  run "jacobi/drop"
+    { (cfg_n 4) with Config.net_drop = 0.05; net_dup = 0.02 }
+    jacobi;
+  run "jacobi/crash"
+    {
+      (cfg_n 4) with
+      Config.backend = Config.Hlrc;
+      replicas = 3;
+      crash = [ (1, 5000.0, 3000.0) ];
+    }
+    jacobi;
+  (* an overflowed ring: replay over the surviving suffix *)
+  run "jacobi/overflow" ~capacity:64 (cfg_n 4) jacobi
+
+(* More processors than slabs: the tail processors own empty slabs and
+   must charge no compute (a negative width once ran their clocks
+   backwards, which the checker reports as time-monotone violations). *)
+let test_fft3d_empty_slabs () =
+  let sink = Sink.create ~nprocs:32 () in
+  let r =
+    Dsm_apps.Fft3d.run_tmk ~trace:sink (cfg_n 32) Dsm_apps.Fft3d.small
+      ~level:Push_opt ~async:true
+  in
+  Alcotest.(check (float 1e-6)) "verified" 0.0 r.max_err;
+  (* 101096 us, the figure of the busy processors, bit for bit *)
+  Alcotest.(check (float 0.0))
+    "parallel time unchanged" 0x1.8ae7e45a1ca93p+16 r.time_us;
+  check_clean "fft3d small p32" sink
+
 (* {1 The checker catches bad traces} *)
 
 let ev id proc time vc kind = { Event.id; proc; time; vc; kind }
@@ -831,4 +981,11 @@ let tests =
       test_engine_proc_failure;
     Alcotest.test_case "tmk: failure mid-barrier" `Quick
       test_tmk_failure_mid_barrier;
+    Alcotest.test_case "sink: vc read, not captured" `Quick
+      test_sink_vc_snapshots;
+    Alcotest.test_case "sink: rings grow, then wrap" `Quick test_sink_growth;
+    Alcotest.test_case "checker: run_sink = replay of events" `Quick
+      test_run_sink_is_replay;
+    Alcotest.test_case "checker: fft3d with empty slabs" `Quick
+      test_fft3d_empty_slabs;
   ]
